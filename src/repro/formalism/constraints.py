@@ -2,15 +2,18 @@
 
 A constraint is a finite set of configurations, all of the same size
 (``d_W`` for the white constraint, ``d_B`` for the black one).  Beyond plain
-membership, solvers need two derived queries that this module precomputes:
+membership, solvers need two derived queries:
 
 * ``allows_partial``: can a partially-assigned node still be completed to an
-  allowed configuration?  (Used for propagation in the CSP solver.)
+  allowed configuration?  (Used for propagation in the CSP solver and for
+  pruning the relaxation searches.)
 * ``completions``: which labels may still be placed given a partial multiset?
 
-Both queries are answered against the explicit configuration list, which is
-feasible for every problem in the paper at verification scale (the families
-of Definitions 4.2 / 5.2 / 6.2 instantiated at small Δ).
+Both are lookups in the constraint's *closure*: every canonical
+sub-multiset of an allowed configuration, built on first use and cached
+(a partial multiset extends to an allowed configuration exactly when it
+is such a sub-multiset).  :class:`repro.formalism.encoding.ConstraintTable`
+holds the same closure in the integer domain.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from repro.formalism.configurations import (
     Label,
 )
 from repro.utils import ArityMismatchError, UnknownLabelError
+from repro.utils.multiset import submultiset_closure
 
 
 class Constraint:
@@ -73,6 +77,12 @@ class Constraint:
             used.update(config.support)
         return frozenset(used)
 
+    @cached_property
+    def closure(self) -> frozenset[tuple[Label, ...]]:
+        """Every canonical sub-multiset of an allowed configuration (all
+        sizes, the empty one included when the constraint is non-empty)."""
+        return submultiset_closure(config.labels for config in self._configs)
+
     def allows(self, config: Configuration) -> bool:
         """Membership test for a full configuration."""
         return config in self._configs
@@ -90,22 +100,19 @@ class Constraint:
         """
         if assigned > self._size:
             return False
-        return any(config.extends(partial) for config in self._configs)
+        return tuple(sorted(partial.elements())) in self.closure
 
     def completions(self, partial: Counter[Label]) -> frozenset[Label]:
         """Labels ℓ such that ``partial + {ℓ}`` still extends to an allowed
         configuration."""
-        placed = sum(partial.values())
-        if placed >= self._size:
+        placed = sorted(partial.elements())
+        if len(placed) >= self._size:
             return frozenset()
-        result: set[Label] = set()
-        for config in self._configs:
-            if not config.extends(partial):
-                continue
-            for label, count in config.counter.items():
-                if count > partial.get(label, 0):
-                    result.add(label)
-        return frozenset(result)
+        closure = self.closure
+        return frozenset(
+            label for label in self.labels
+            if tuple(sorted([*placed, label])) in closure
+        )
 
     def restrict_labels(self, keep: frozenset[Label]) -> "Constraint":
         """Drop every configuration that uses a label outside ``keep``."""
@@ -135,6 +142,12 @@ class Constraint:
         :meth:`repro.formalism.problems.Problem.find_isomorphism`.
         """
         return tuple(sorted(config.count(label) for config in self._configs))
+
+    def __getstate__(self) -> dict:
+        # Derived caches (the closure above all) are rebuilt on demand, so
+        # a pickled constraint -- e.g. one shipped to a worker process --
+        # carries only its configurations.
+        return {"_configs": self._configs, "_size": self._size}
 
     def __contains__(self, config: Configuration) -> bool:
         return config in self._configs
@@ -167,17 +180,3 @@ def partial_is_extendable(
     counter = Counter(partial)
     return constraint.allows_partial(counter, sum(counter.values()))
 
-
-def sub_multiset_closure(constraint: Constraint) -> frozenset[tuple[Label, ...]]:
-    """All canonical sub-multisets of allowed configurations.
-
-    Exposed for the brute-force cross-checks in the test-suite; the solver
-    itself uses the incremental queries above.
-    """
-    from repro.utils.multiset import submultisets
-
-    closure: set[tuple[Label, ...]] = set()
-    for config in constraint.configurations:
-        for size in range(config.size + 1):
-            closure.update(submultisets(config.counter, size))
-    return frozenset(closure)

@@ -32,7 +32,6 @@ rest on (see :mod:`repro.roundelim.kernel`).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,7 +39,7 @@ from repro.formalism.configurations import Configuration, Label
 from repro.formalism.constraints import Constraint
 from repro.formalism.problems import Problem
 from repro.utils import UnknownLabelError
-from repro.utils.multiset import submultisets
+from repro.utils.multiset import submultiset_closure
 
 #: A configuration in the integer domain: a sorted tuple of bit indices.
 IntConfig = tuple[int, ...]
@@ -157,15 +156,10 @@ class ConstraintTable:
         allowed = frozenset(
             encoding.encode_config(config) for config in constraint.configurations
         )
-        partials: set[IntConfig] = set()
-        for config in allowed:
-            counter = Counter(config)
-            for size in range(len(config) + 1):
-                partials.update(submultisets(counter, size))
         return cls(
             arity=constraint.size,
             allowed=allowed,
-            partials=frozenset(partials),
+            partials=submultiset_closure(allowed),
         )
 
     def allows(self, items: IntConfig) -> bool:

@@ -19,8 +19,10 @@ from repro.roundelim.operators import (
 from repro.roundelim.sequences import (
     LowerBoundSequence,
     SequenceStepWitness,
+    StepVerifier,
     constant_sequence,
     sequence_from_family,
+    shared_step_verifier,
 )
 from repro.roundelim.explore import (
     ExplorationLimits,
@@ -41,6 +43,7 @@ __all__ = [
     "FixedPointReport",
     "LowerBoundSequence",
     "SequenceStepWitness",
+    "StepVerifier",
     "analyze_fixed_point",
     "apply_R",
     "apply_R_bar",
@@ -52,4 +55,5 @@ __all__ = [
     "maximal_set_configurations",
     "round_elimination",
     "sequence_from_family",
+    "shared_step_verifier",
 ]

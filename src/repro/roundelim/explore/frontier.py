@@ -26,7 +26,9 @@ bound evidence: for every RE edge Π → RE(Π), it searches the visited set
 for problems that RE(Π) relaxes onto (label maps first, ordered
 configuration maps as the general fallback — the §2 notion) and chains
 the resulting steps into candidate :class:`LowerBoundSequence`s, each
-re-verified mechanically by :meth:`LowerBoundSequence.verify`.
+re-verified mechanically by :meth:`LowerBoundSequence.verify` inside one
+:func:`shared_step_verifier` block per search (so a step or RE(Π)
+shared by several candidates is verified once).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from repro.roundelim.explore.store import (
     _compute_task,
 )
 from repro.roundelim.operators import DEFAULT_ENGINE
-from repro.roundelim.sequences import LowerBoundSequence
+from repro.roundelim.sequences import LowerBoundSequence, shared_step_verifier
 from repro.utils import InvalidParameterError, SolverLimitError
 from repro.utils.serialization import canonical_dumps
 
@@ -459,7 +461,12 @@ def _longest_paths(steps: Iterable[dict], nodes: Iterable[str]) -> list[list[str
 
 
 def _extract_sequences(search: _Search, steps: list[dict]) -> list[dict]:
-    """Candidate lower bound sequences, re-verified mechanically."""
+    """Candidate lower bound sequences, re-verified mechanically.
+
+    Verification runs RE and the witness searches itself (never reading
+    the store's memoized steps or links), but all candidates share one
+    verifier, so candidates sharing a step or a source pay for it once.
+    """
     candidates: list[tuple[str, list[str]]] = []
     for path in _longest_paths(steps, search.nodes):
         candidates.append(("path", path))
@@ -468,36 +475,38 @@ def _extract_sequences(search: _Search, steps: list[dict]) -> list[dict]:
     for digest in sorted(search.nodes):
         if search.nodes[digest].get("relaxation_fixed_point"):
             candidates.append(("constant", [digest, digest, digest]))
+    policy = search.policy
     entries = []
-    for kind, digests in candidates:
-        problems = tuple(search.problem(digest) for digest in digests)
-        entry = {
-            "kind": kind,
-            "digests": list(digests),
-            "length": len(digests) - 1,
-            "verified": False,
-            "verify_skipped": False,
-            "witnesses": 0,
-        }
-        # The witness search of ``verify`` branches over the eliminated
-        # problems' labels; past the linking cap it can dwarf the whole
-        # search, so oversized chains are reported unverified-by-policy.
-        oversized = any(
-            len(problem.alphabet) > search.policy.link_alphabet_cap
-            for problem in problems
-        )
-        if search.policy.verify_sequences and not oversized:
-            try:
-                witnesses = LowerBoundSequence(problems=problems).verify(
-                    budget=search.policy.step_budget, engine=search.policy.engine
-                )
-                entry["verified"] = True
-                entry["witnesses"] = len(witnesses)
-            except (ValueError, SolverLimitError):
-                entry["verified"] = False
-        else:
-            entry["verify_skipped"] = True
-        entries.append(entry)
+    with shared_step_verifier(budget=policy.step_budget, engine=policy.engine):
+        for kind, digests in candidates:
+            problems = tuple(search.problem(digest) for digest in digests)
+            entry = {
+                "kind": kind,
+                "digests": list(digests),
+                "length": len(digests) - 1,
+                "verified": False,
+                "verify_skipped": False,
+                "witnesses": 0,
+            }
+            # The witness search of ``verify`` branches over the eliminated
+            # problems' labels; past the linking cap it can dwarf the whole
+            # search, so oversized chains are reported unverified-by-policy.
+            oversized = any(
+                len(problem.alphabet) > policy.link_alphabet_cap
+                for problem in problems
+            )
+            if policy.verify_sequences and not oversized:
+                try:
+                    witnesses = LowerBoundSequence(problems=problems).verify(
+                        budget=policy.step_budget, engine=policy.engine
+                    )
+                    entry["verified"] = True
+                    entry["witnesses"] = len(witnesses)
+                except (ValueError, SolverLimitError):
+                    entry["verified"] = False
+            else:
+                entry["verify_skipped"] = True
+            entries.append(entry)
     return entries
 
 

@@ -103,11 +103,19 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_request_body(self):
-        length = int(self.headers.get("Content-Length", 0))
-        if length > MAX_BODY_BYTES:
-            return None, error_response(
-                "bad-request", f"request body exceeds {MAX_BODY_BYTES} bytes"
-            )
+        header = self.headers.get("Content-Length", "0").strip()
+        if not (header.isascii() and header.isdigit()):
+            problem = f"invalid Content-Length {header!r}"
+        elif int(header) > MAX_BODY_BYTES:
+            problem = f"request body exceeds {MAX_BODY_BYTES} bytes"
+        else:
+            problem = None
+        if problem is not None:
+            # The body stays unread, so this connection cannot carry
+            # another request.
+            self.close_connection = True
+            return None, error_response("bad-request", problem)
+        length = int(header)
         raw = self.rfile.read(length) if length else b""
         try:
             return json.loads(raw.decode("utf-8")), None

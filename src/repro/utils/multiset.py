@@ -80,26 +80,25 @@ def multiset_count(universe_size: int, size: int) -> int:
     return comb(universe_size + size - 1, size)
 
 
-def submultisets(items: Mapping[T, int], size: int) -> Iterator[tuple[T, ...]]:
-    """Yield every sub-multiset of the given multiset with exactly ``size``
-    elements, each in canonical form, without duplicates."""
-    elements = sorted(items)
+def submultiset_closure(multisets: Iterable[tuple[T, ...]]) -> frozenset[tuple[T, ...]]:
+    """Every sub-multiset (all sizes, the empty one included) of the given
+    canonical multisets, each in canonical form.
 
-    def recurse(index: int, remaining: int, chosen: list[T]) -> Iterator[tuple[T, ...]]:
-        if remaining == 0:
-            yield tuple(chosen)
-            return
-        if index >= len(elements):
-            return
-        element = elements[index]
-        available = items[element]
-        # Choose k copies of this element, for each feasible k.
-        max_take = min(available, remaining)
-        for take in range(max_take, -1, -1):
-            # Feasibility prune: enough items left in the tail?
-            tail_capacity = sum(items[e] for e in elements[index + 1 :])
-            if remaining - take > tail_capacity:
-                continue
-            yield from recurse(index + 1, remaining - take, chosen + [element] * take)
-
-    yield from recurse(0, size, [])
+    Works down one size at a time: dropping one element from a sorted
+    tuple keeps it sorted, so no re-sorting is needed, and each
+    sub-multiset is expanded once however many supersets it has.
+    """
+    closure: set[tuple[T, ...]] = set()
+    level = set(multisets)
+    while level:
+        closure |= level
+        below: set[tuple[T, ...]] = set()
+        for items in level:
+            for index in range(len(items)):
+                if index and items[index] == items[index - 1]:
+                    continue
+                sub = items[:index] + items[index + 1 :]
+                if sub not in closure:
+                    below.add(sub)
+        level = below
+    return frozenset(closure)

@@ -1,5 +1,6 @@
 """Unit tests for constraints."""
 
+import pickle
 from collections import Counter
 
 import pytest
@@ -7,12 +8,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.formalism.configurations import Configuration, condensed
-from repro.formalism.constraints import Constraint, sub_multiset_closure
+from repro.formalism.constraints import Constraint
 from repro.utils import ArityMismatchError, UnknownLabelError
 
-label_strategy = st.sampled_from(["A", "B", "C", "D"])
+LABELS = ["A", "B", "C", "D"]
+label_strategy = st.sampled_from(LABELS)
 config_strategy = st.lists(label_strategy, min_size=3, max_size=3).map(Configuration)
 constraint_strategy = st.sets(config_strategy, min_size=1, max_size=8).map(Constraint)
+
+
+def extends_some_config(constraint: Constraint, labels) -> bool:
+    """The oracle: an explicit scan over every allowed configuration,
+    independent of the closure the queries look up."""
+    return any(config.extends(Counter(labels)) for config in constraint)
 
 
 def mm_black(delta: int = 3) -> Constraint:
@@ -85,24 +93,35 @@ class TestConstraint:
         ) == renamed.label_occurrence_signature("Q")
 
     @given(constraint_strategy)
-    def test_partial_query_agrees_with_closure(self, constraint):
-        """allows_partial must agree with the explicit sub-multiset closure."""
-        closure = sub_multiset_closure(constraint)
-        for partial in closure:
-            counter = Counter(partial)
-            assert constraint.allows_partial(counter, len(partial))
+    def test_every_sub_multiset_is_allowed(self, constraint):
+        for config in constraint:
+            for mask in range(1 << config.size):
+                sub = [label for i, label in enumerate(config.labels) if mask >> i & 1]
+                assert constraint.allows_partial(Counter(sub), len(sub))
 
-    @given(constraint_strategy, st.lists(label_strategy, min_size=1, max_size=3))
+    @given(constraint_strategy, st.lists(label_strategy, min_size=0, max_size=4))
     def test_partial_query_no_false_positives(self, constraint, labels):
-        counter = Counter(labels)
-        expected = tuple(sorted(labels)) in sub_multiset_closure(constraint)
-        assert constraint.allows_partial(counter, len(labels)) == expected
+        expected = len(labels) <= constraint.size and extends_some_config(
+            constraint, labels
+        )
+        assert constraint.allows_partial(Counter(labels), len(labels)) == expected
 
-    @given(constraint_strategy, st.lists(label_strategy, min_size=0, max_size=2))
+    @given(constraint_strategy, st.lists(label_strategy, min_size=0, max_size=3))
     def test_completions_are_sound_and_complete(self, constraint, labels):
-        counter = Counter(labels)
-        completions = constraint.completions(counter)
-        closure = sub_multiset_closure(constraint)
-        for label in ["A", "B", "C", "D"]:
-            extended = tuple(sorted(labels + [label]))
-            assert (label in completions) == (extended in closure)
+        completions = constraint.completions(Counter(labels))
+        for label in LABELS:
+            expected = len(labels) < constraint.size and extends_some_config(
+                constraint, labels + [label]
+            )
+            assert (label in completions) == expected
+
+    def test_pickle_round_trip_drops_closure(self):
+        constraint = mm_black(3)
+        bare = pickle.dumps(constraint)
+        assert constraint.allows_partial(Counter("PP"), 2)  # builds the closure
+        assert "closure" in vars(constraint)
+        assert pickle.dumps(constraint) == bare
+        restored = pickle.loads(bare)
+        assert restored == constraint
+        assert restored.size == constraint.size
+        assert restored.completions(Counter("OO")) == frozenset("MO")

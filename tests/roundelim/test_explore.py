@@ -3,6 +3,7 @@ determinism, kill-and-resume, and the Δ=3 matching acceptance criterion
 (rediscovering the Corollary 4.6 chain and the family fixed point)."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -18,7 +19,8 @@ from repro.roundelim.explore import (
     explore,
     reports_identical,
 )
-from repro.utils import InvalidParameterError
+from repro.roundelim import LowerBoundSequence, StepVerifier, sequences
+from repro.utils import InvalidParameterError, SolverLimitError
 from repro.utils.serialization import canonical_dumps
 
 
@@ -151,6 +153,78 @@ class TestAcceptanceCriterion:
         assert report.fixed_points == [canonical_digest(pi_arbdefective(3, 2))]
         constant = [e for e in report.sequences if e["kind"] == "constant"]
         assert constant and constant[0]["verified"]
+
+
+def _steps_of(entry: dict) -> set[tuple[str, str]]:
+    digests = entry["digests"]
+    return set(zip(digests, digests[1:]))
+
+
+class TestSequenceVerification:
+    """One exploration verifies each distinct RE(Π) and step once, with
+    the same outcome as verifying every sequence on its own."""
+
+    def test_one_round_elimination_per_distinct_source(self, monkeypatch):
+        sources: Counter = Counter()
+        real = sequences.round_elimination
+
+        def counting(problem, *args, **kwargs):
+            sources[problem] += 1
+            return real(problem, *args, **kwargs)
+
+        monkeypatch.setattr(sequences, "round_elimination", counting)
+        report = explore(MATCHING_ROOTS, limits=MATCHING_LIMITS)
+        shared = [
+            source
+            for entry in report.sequences
+            for source, _target in _steps_of(entry)
+        ]
+        # The candidates share sources, so an unshared verifier would
+        # eliminate some of them more than once.
+        assert len(shared) > len(set(shared))
+        assert set(sources.values()) == {1}
+        assert {canonical_digest(problem) for problem in sources} == set(shared)
+
+    def test_entries_match_standalone_verify(self):
+        store = ProblemStore()
+        policy = ExplorationPolicy()
+        report = explore(MATCHING_ROOTS, limits=MATCHING_LIMITS, store=store)
+        for entry in report.sequences:
+            problems = tuple(
+                store.problem_of(digest, name=report.nodes[digest]["name"])
+                for digest in entry["digests"]
+            )
+            try:
+                witnesses = LowerBoundSequence(problems).verify(
+                    budget=policy.step_budget, engine=policy.engine
+                )
+                expected = (True, len(witnesses))
+            except (ValueError, SolverLimitError):
+                expected = (False, 0)
+            assert (entry["verified"], entry["witnesses"]) == expected
+
+    def test_failed_shared_step_fails_every_sequence_containing_it(
+        self, monkeypatch
+    ):
+        failing = (
+            canonical_digest(pi_matching(3, 1, 1)),
+            canonical_digest(pi_matching(3, 2, 1)),
+        )
+        searches: Counter = Counter()
+        real = StepVerifier._search
+
+        def search(self, previous, current):
+            step = (canonical_digest(previous), canonical_digest(current))
+            searches[step] += 1
+            return None if step == failing else real(self, previous, current)
+
+        monkeypatch.setattr(StepVerifier, "_search", search)
+        report = explore(MATCHING_ROOTS, limits=MATCHING_LIMITS)
+        containing = [e for e in report.sequences if failing in _steps_of(e)]
+        assert len(containing) >= 2
+        for entry in report.sequences:
+            assert entry["verified"] is (failing not in _steps_of(entry))
+        assert set(searches.values()) == {1}
 
 
 class TestDeterminism:

@@ -16,11 +16,15 @@ from repro.formalism.relaxations import (
 from repro.problems import matching_sequence_problems, pi_matching
 from repro.roundelim import (
     LowerBoundSequence,
+    StepVerifier,
     compress_labels,
+    constant_sequence,
     round_elimination,
     sequence_from_family,
+    sequences,
+    shared_step_verifier,
 )
-from repro.utils import InvalidParameterError
+from repro.utils import InvalidParameterError, SolverLimitError
 
 
 class TestLemma45:
@@ -78,3 +82,72 @@ class TestSequenceBasics:
         )
         with pytest.raises(ValueError):
             sequence.verify()
+
+
+class TestStepVerifier:
+    def test_shared_verifier_matches_standalone_verify(self):
+        chain = LowerBoundSequence(
+            problems=(pi_matching(3, 0, 1), pi_matching(3, 1, 1), pi_matching(3, 2, 1))
+        )
+        tail = LowerBoundSequence(problems=chain.problems[1:])
+        fixed = constant_sequence(pi_matching(3, 2, 1), 2)
+        verifier = StepVerifier()
+        for sequence in (chain, tail, fixed):
+            assert verifier.verify(sequence) == sequence.verify()
+
+    def test_failure_is_memoized_and_reraised_with_its_index(self, monkeypatch):
+        searches = []
+        real = StepVerifier._search
+
+        def search(self, previous, current):
+            searches.append((previous, current))
+            return real(self, previous, current)
+
+        monkeypatch.setattr(StepVerifier, "_search", search)
+        verifier = StepVerifier()
+        wrong_way = (pi_matching(3, 1, 1), pi_matching(3, 0, 1))
+        with pytest.raises(ValueError, match="^step 1:"):
+            verifier.verify(LowerBoundSequence(problems=wrong_way))
+        # The same failed step, second in a longer sequence: reported
+        # under its new index, from the memo.
+        with pytest.raises(ValueError, match="^step 2:"):
+            verifier.verify(
+                LowerBoundSequence(problems=(pi_matching(3, 0, 1),) + wrong_way)
+            )
+        assert searches.count(wrong_way) == 1
+
+    def test_budget_exhaustion_is_memoized(self, monkeypatch):
+        calls = []
+        real = sequences.round_elimination
+
+        def counting(problem, *args, **kwargs):
+            calls.append(problem)
+            return real(problem, *args, **kwargs)
+
+        monkeypatch.setattr(sequences, "round_elimination", counting)
+        verifier = StepVerifier(budget=10)
+        source = pi_matching(3, 0, 1)
+        for target in (pi_matching(3, 1, 1), pi_matching(3, 2, 1)):
+            with pytest.raises(SolverLimitError):
+                verifier.verify(LowerBoundSequence(problems=(source, target)))
+        assert calls == [source]
+
+    def test_shared_block_serves_only_its_own_budget(self, monkeypatch):
+        calls = []
+        real = sequences.round_elimination
+
+        def counting(problem, *args, **kwargs):
+            calls.append(problem)
+            return real(problem, *args, **kwargs)
+
+        monkeypatch.setattr(sequences, "round_elimination", counting)
+        step = LowerBoundSequence(problems=(pi_matching(3, 1, 1), pi_matching(3, 2, 1)))
+        with shared_step_verifier(budget=10):
+            for _ in range(2):
+                with pytest.raises(SolverLimitError):
+                    step.verify(budget=10)
+            # Another budget is not this block's memo: verified afresh.
+            assert len(step.verify()) == 1
+        assert len(calls) == 2
+        step.verify()  # outside the block nothing is shared
+        assert len(calls) == 3

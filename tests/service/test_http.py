@@ -1,7 +1,9 @@
 """HTTP transport + client: end-to-end parity, endpoints, shutdown."""
 
 import json
+import socket
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -68,6 +70,26 @@ class TestEndToEnd:
         assert excinfo.value.code == 400
         body = json.loads(excinfo.value.read())
         assert body["error"]["code"] == "bad-request"
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_malformed_content_length_is_bad_request(self, live, length):
+        client, _service = live
+        address = urllib.parse.urlsplit(client.url)
+        request = (
+            b"POST /v1/request HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\nContent-Length: " + length
+            + b"\r\n\r\n{}"
+        )
+        with socket.create_connection(
+            (address.hostname, address.port), timeout=10
+        ) as connection:
+            connection.sendall(request)
+            reply = connection.makefile("rb").read()  # server closes after
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"400"
+        error = json.loads(body)["error"]
+        assert error["code"] == "bad-request"
+        assert "Content-Length" in error["message"]
 
     def test_client_parses_error_bodies(self, live):
         client, _service = live

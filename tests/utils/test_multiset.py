@@ -13,7 +13,7 @@ from repro.utils.multiset import (
     multiset_count,
     multiset_difference,
     replace_one,
-    submultisets,
+    submultiset_closure,
 )
 
 items = st.lists(st.sampled_from("ABCD"), max_size=6)
@@ -70,12 +70,13 @@ class TestEnumeration:
         assert list(all_multisets("", 0)) == [()]
         assert list(all_multisets("", 2)) == []
 
-    @given(items.filter(bool), st.integers(min_value=0, max_value=4))
-    def test_submultisets_are_valid(self, values, size):
-        counter = Counter(values)
-        seen = set()
-        for sub in submultisets(counter, size):
-            assert len(sub) == size
-            assert is_submultiset(Counter(sub), counter)
-            assert sub not in seen
-            seen.add(sub)
+    @given(st.lists(items.map(canonical), max_size=3))
+    def test_submultiset_closure_is_sound_and_complete(self, multisets):
+        # Brute force: every subset of positions of every sorted multiset
+        # (a subsequence of a sorted tuple is itself sorted).
+        expected = {
+            tuple(items[index] for index in range(len(items)) if mask >> index & 1)
+            for items in multisets
+            for mask in range(1 << len(items))
+        }
+        assert submultiset_closure(multisets) == expected
