@@ -1,23 +1,19 @@
-"""ENGINES — object vs batched vs vectorized backends on the matching
-workload.
+"""ENGINES — object vs vectorized backends on the matching workload.
 
 The acceptance claims of the ``repro.api`` engine subsystem, measured on
 the matching suite's workload (the proposal algorithm on 2-colored double
 covers):
 
-* the CSR-batched engine is ≥ **1.5×** faster than the object engine at
-  n = 2000 (the PR 4 claim, still gated);
-* the numpy vectorized engine is ≥ **10×** faster than the batched engine
-  at the largest size both run (n = 10^5 in full mode), while producing
-  byte-identical reports;
+* the numpy vectorized engine is ≥ **15×** faster than the object
+  (reference) engine at the largest size both run (n = 2·10^4 in smoke
+  mode, n = 10^5 in full mode), while producing byte-identical reports;
 * the vectorized engine sustains a scaling curve through **n = 10^7**
-  (recorded, vectorized-only — the per-node engines are too slow there).
+  (recorded, vectorized-only — the per-node engine is too slow there).
 
 Dual mode:
 
-* ``pytest benchmarks/bench_engines.py`` — asserts both speedup criteria
-  on the smoke matrix plus end-to-end byte identity (skipping vectorized
-  claims gracefully where numpy is absent);
+* ``pytest benchmarks/bench_engines.py`` — asserts the speedup criterion
+  on the smoke matrix plus end-to-end byte identity;
 * ``python benchmarks/bench_engines.py [--smoke] [--out F] [--baseline F]
   [--tolerance 0.25]`` — measures the size × engine matrix, writes
   ``BENCH_engines.json`` (canonical schema: n, wall-time per engine,
@@ -35,8 +31,6 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
 from repro import api
 from repro.api.engines import resolve_engine
 from repro.utils.serialization import canonical_dumps
@@ -46,25 +40,22 @@ SCHEMA = "repro.bench/engines/v1"
 
 DELTA = 4
 
-#: PR 4's criterion: batched ≥ 1.5× object at n = 2000.
-BATCHED_CRITERION_SPEEDUP = 1.5
-
-#: This PR's criterion: vectorized ≥ 10× batched at the largest size both
+#: The criterion: vectorized ≥ 15× object at the largest size both
 #: engines run (the last workload row naming both).
-VECTORIZED_CRITERION_SPEEDUP = 10.0
+VECTORIZED_CRITERION_SPEEDUP = 15.0
 
 #: (n, engines to time at that size).  Sizes where an engine is absent are
-#: deliberate: per-node engines at n = 10^6 would take minutes per run —
-#: that row records the vectorized scaling point, not a comparison.
+#: deliberate: the per-node engine at n = 10^6 would take minutes per run
+#: — that row records the vectorized scaling point, not a comparison.
 WORKLOADS: dict[str, tuple[tuple[int, tuple[str, ...]], ...]] = {
     "smoke": (
-        (2_000, ("object", "batched", "vectorized")),
-        (20_000, ("batched", "vectorized")),
+        (2_000, ("object", "vectorized")),
+        (20_000, ("object", "vectorized")),
     ),
     "full": (
-        (2_000, ("object", "batched", "vectorized")),
-        (10_000, ("object", "batched", "vectorized")),
-        (100_000, ("batched", "vectorized")),
+        (2_000, ("object", "vectorized")),
+        (10_000, ("object", "vectorized")),
+        (100_000, ("object", "vectorized")),
         (1_000_000, ("vectorized",)),
         (10_000_000, ("vectorized",)),
     ),
@@ -82,8 +73,7 @@ MIN_GATE_SECONDS = 0.05
 #: The speedup keys a baseline can gate on, with their (numerator,
 #: denominator) engines — numerator seconds / denominator seconds.
 SPEEDUP_KEYS = {
-    "speedup_batched_vs_object": ("object", "batched"),
-    "speedup_vectorized_vs_batched": ("batched", "vectorized"),
+    "speedup_vectorized_vs_object": ("object", "vectorized"),
 }
 
 
@@ -113,16 +103,10 @@ def measure(mode: str, repeats: int = 3) -> dict:
 
     Every size cross-checks that all engines timed there produce the
     identical outputs and round count — a benchmark that silently
-    compared different results would be meaningless.  Engines that are
-    not registered (vectorized without numpy) are skipped, never timed
-    as zero.
+    compared different results would be meaningless.
     """
-    registered = set(api.available_engines())
     records = []
-    for n, engine_names in WORKLOADS[mode]:
-        names = [name for name in engine_names if name in registered]
-        if not names:
-            continue
+    for n, names in WORKLOADS[mode]:
         network, program = _prepared(n)
         seconds: dict[str, float] = {}
         reference = None
@@ -154,49 +138,30 @@ def measure(mode: str, repeats: int = 3) -> dict:
         "schema": SCHEMA,
         "mode": mode,
         "criteria": {
-            "speedup_batched_vs_object": BATCHED_CRITERION_SPEEDUP,
-            "speedup_vectorized_vs_batched": VECTORIZED_CRITERION_SPEEDUP,
+            "speedup_vectorized_vs_object": VECTORIZED_CRITERION_SPEEDUP,
         },
         "workloads": records,
     }
 
 
-def criterion_speedups(payload: dict) -> dict[str, float | None]:
-    """The gated speedups: batched-vs-object at the smallest size naming
-    both, vectorized-vs-batched at the largest (``None`` when the engine
-    pair never ran, e.g. vectorized without numpy)."""
-    batched = [
-        record["speedup_batched_vs_object"]
+def criterion_speedup(payload: dict) -> float:
+    """The gated speedup: vectorized-vs-object at the largest size naming
+    both."""
+    return [
+        record["speedup_vectorized_vs_object"]
         for record in payload["workloads"]
-        if "speedup_batched_vs_object" in record
-    ]
-    vectorized = [
-        record["speedup_vectorized_vs_batched"]
-        for record in payload["workloads"]
-        if "speedup_vectorized_vs_batched" in record
-    ]
-    return {
-        "speedup_batched_vs_object": batched[0] if batched else None,
-        "speedup_vectorized_vs_batched": vectorized[-1] if vectorized else None,
-    }
+        if "speedup_vectorized_vs_object" in record
+    ][-1]
 
 
 def criterion_failures(payload: dict) -> list[str]:
-    speedups = criterion_speedups(payload)
-    failures = []
-    value = speedups["speedup_batched_vs_object"]
-    if value is not None and value < BATCHED_CRITERION_SPEEDUP:
-        failures.append(
-            f"criterion: batched only {value:.2f}x vs object; "
-            f"criterion is {BATCHED_CRITERION_SPEEDUP}x"
-        )
-    value = speedups["speedup_vectorized_vs_batched"]
-    if value is not None and value < VECTORIZED_CRITERION_SPEEDUP:
-        failures.append(
-            f"criterion: vectorized only {value:.2f}x vs batched; "
-            f"criterion is {VECTORIZED_CRITERION_SPEEDUP}x"
-        )
-    return failures
+    value = criterion_speedup(payload)
+    if value >= VECTORIZED_CRITERION_SPEEDUP:
+        return []
+    return [
+        f"criterion: vectorized only {value:.2f}x vs object; "
+        f"criterion is {VECTORIZED_CRITERION_SPEEDUP}x"
+    ]
 
 
 def compare_with_baseline(
@@ -239,18 +204,14 @@ def _print(payload: dict) -> None:
         return "-" if value is None else f"{value:.4f}"
 
     print_table(
-        ["n", "object (s)", "batched (s)", "vectorized (s)",
-         "batched x", "vectorized x"],
+        ["n", "object (s)", "vectorized (s)", "vectorized x"],
         [
             (
                 record["n"],
                 cell(record, "object"),
-                cell(record, "batched"),
                 cell(record, "vectorized"),
-                f"{record['speedup_batched_vs_object']:.2f}x"
-                if "speedup_batched_vs_object" in record else "-",
-                f"{record['speedup_vectorized_vs_batched']:.2f}x"
-                if "speedup_vectorized_vs_batched" in record else "-",
+                f"{record['speedup_vectorized_vs_object']:.2f}x"
+                if "speedup_vectorized_vs_object" in record else "-",
             )
             for record in payload["workloads"]
         ],
@@ -263,27 +224,12 @@ def _print(payload: dict) -> None:
 # --------------------------------------------------------------------------
 
 
-def test_engine_speedup_criteria():
-    """Both tentpole performance criteria on the smoke matrix, with output
-    identity cross-checked inside ``measure``.  The vectorized criterion
-    is asserted only where numpy (and thus the engine) is present."""
+def test_engine_speedup_criterion():
+    """The tentpole performance criterion on the smoke matrix, with output
+    identity cross-checked inside ``measure``."""
     payload = measure("smoke")
     _print(payload)
-    speedups = criterion_speedups(payload)
-    batched = speedups["speedup_batched_vs_object"]
-    assert batched is not None and batched >= BATCHED_CRITERION_SPEEDUP, (
-        f"batched engine only {batched}x vs object; criterion is "
-        f"{BATCHED_CRITERION_SPEEDUP}x"
-    )
-    vectorized = speedups["speedup_vectorized_vs_batched"]
-    if "vectorized" not in api.available_engines():
-        pytest.skip("numpy unavailable: vectorized engine not registered")
-    assert vectorized is not None and (
-        vectorized >= VECTORIZED_CRITERION_SPEEDUP
-    ), (
-        f"vectorized engine only {vectorized}x vs batched; criterion is "
-        f"{VECTORIZED_CRITERION_SPEEDUP}x"
-    )
+    assert criterion_failures(payload) == []
 
 
 def test_engines_byte_identical_end_to_end():

@@ -103,8 +103,7 @@ class VectorizedSpec:
     carries the per-run knowledge that implementation needs — the same
     information ``extra`` closes over, but in bulk form (a coloring dict,
     an input-edge set) instead of a per-node callable.  The spec itself
-    is plain data: building one never imports numpy, so algorithms can
-    always attach it and engines that cannot use it simply ignore it.
+    is plain data, which the object engine ignores.
     """
 
     kernel: str

@@ -143,11 +143,16 @@ def check_ruling_set(
         if distances.get(node, float("inf")) > beta:
             return _fail(f"node {node!r} is farther than β = {beta} from S")
     if independent:
+        # Report the first adjacent pair in ``str`` order (the lowest
+        # rank, then its lowest-ranked later neighbor), scanning only the
+        # edges at S: O(|S| log |S| + Σ deg) rather than O(|S|²) lookups.
         members = sorted(ruling_set, key=str)
+        rank = {node: index for index, node in enumerate(members)}
         for index, u in enumerate(members):
-            for v in members[index + 1 :]:
-                if graph.has_edge(u, v):
-                    return _fail(f"S contains adjacent nodes {u!r}, {v!r}")
+            later = [rank[v] for v in graph.adj[u] if rank.get(v, -1) > index]
+            if later:
+                v = members[min(later)]
+                return _fail(f"S contains adjacent nodes {u!r}, {v!r}")
     return _ok()
 
 

@@ -103,7 +103,7 @@ def measured_run_synchronous(
     :class:`~repro.utils.SimulationError` instead of looping forever, and
     harnesses routinely need to tighten it.  ``engine`` swaps in an
     alternative execution backend with the same contract (e.g.
-    :func:`repro.local.batched.run_batched`).
+    :func:`repro.local.vectorized.run_vectorized`).
     """
     probe = EngineProbe()
     (result, seconds) = timed(

@@ -62,8 +62,8 @@ class Network:
 
     def neighbors(self, node) -> list:
         """Neighbors in port order."""
-        ports = self._ports[node]
-        return [ports[port] for port in sorted(ports)]
+        # Each port map is built in ascending port order.
+        return list(self._ports[node].values())
 
     def port_to(self, node, neighbor) -> int:
         """The port of ``node`` leading to ``neighbor``."""

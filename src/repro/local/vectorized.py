@@ -1,13 +1,12 @@
 """Vectorized synchronous engine: struct-of-arrays rounds over numpy.
 
-The object engine (:func:`repro.local.simulator.run_synchronous`) and the
-batched engine (:func:`repro.local.batched.run_batched`) both execute one
-Python callback per node per round, which caps honest experiments near
-n ≈ 10^4.  This engine removes per-node Python from the hot loop entirely:
+The object engine (:func:`repro.local.simulator.run_synchronous`) executes
+one Python callback per node per round, which caps honest experiments
+near n ≈ 10^4.  This engine removes per-node Python from the hot loop
+entirely:
 
-* the network is compiled once into numpy CSR arrays
-  (:class:`VectorNetwork`, the array form of
-  :class:`~repro.local.batched.FlatNetwork`) with two delivery maps
+* the network is compiled once, straight from its port numbering, into
+  numpy CSR arrays (:class:`VectorNetwork`) with two delivery maps
   precomputed — ``owner[k]`` (which node emits half-edge ``k``) and
   ``reverse[k]`` (the receiver-side half-edge, i.e. inbox slot, that a
   message along ``k`` lands in);
@@ -41,20 +40,16 @@ Kernel contract (what keeps parity cheap to reason about):
   the send phase" coincide and the engine's drop mask is exact;
 * ``halted`` is mutated in place (the engine keeps no copy);
 * :meth:`outputs_all` returns Python-native values (use ``.tolist()``).
-
-numpy is an optional extra: this module raises ``ModuleNotFoundError`` on
-import where numpy is absent, and the engine registry skips the
-``vectorized`` engine in that case.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from repro.local.batched import FlatNetwork
 from repro.local.network import Network
 from repro.local.simulator import (
     NodeContext,
@@ -67,15 +62,17 @@ from repro.utils import SimulationError
 
 @dataclass(frozen=True)
 class VectorNetwork:
-    """:class:`FlatNetwork` recompiled into numpy CSR + delivery maps.
+    """A :class:`Network` compiled into numpy CSR arrays + delivery maps.
 
-    ``indptr``/``dest`` are the CSR arrays of the flat form; half-edge
-    ``k = indptr[i] + port - 1`` belongs to (node ``i``, ``port``).  Two
-    derived arrays make whole-array delivery possible: ``owner[k]`` is the
-    dense index of the node emitting ``k`` (the CSR row expanded), and
-    ``reverse[k] = indptr[dest[k]] + back_port[k] - 1`` is the half-edge
-    under which the message arrives at the receiver — scattering payloads
-    from ``k`` to ``reverse[k]`` *is* delivery.
+    ``nodes`` is the dense node order (the graph's iteration order);
+    half-edge ``k = indptr[i] + port - 1`` belongs to (node ``i``,
+    ``port``) and ``dest[k]`` is the dense index of the neighbor behind
+    that port.  Two derived arrays make whole-array delivery possible:
+    ``owner[k]`` is the dense index of the node emitting ``k`` (the CSR
+    row expanded), and ``reverse[k]`` is the half-edge under which the
+    message arrives at the receiver (the one from ``dest[k]`` back to
+    ``owner[k]``) — scattering payloads from ``k`` to ``reverse[k]`` *is*
+    delivery.
     """
 
     nodes: tuple
@@ -91,15 +88,27 @@ class VectorNetwork:
 
     @classmethod
     def from_network(cls, network: Network) -> "VectorNetwork":
-        flat = FlatNetwork.of(network)
-        indptr = np.asarray(flat.indptr, dtype=np.int64)
-        dest = np.asarray(flat.dest, dtype=np.int64)
-        back_port = np.asarray(flat.back_port, dtype=np.int64)
-        degrees = np.diff(indptr)
-        owner = np.repeat(np.arange(len(flat.nodes), dtype=np.int64), degrees)
-        reverse = indptr[dest] + back_port - 1
+        nodes = tuple(network.graph.nodes)
+        n = len(nodes)
+        index = {node: i for i, node in enumerate(nodes)}
+        rows = [network.neighbors(node) for node in nodes]
+        degrees = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        dest = np.fromiter(
+            map(index.__getitem__, chain.from_iterable(rows)),
+            dtype=np.int64,
+            count=int(indptr[-1]),
+        )
+        owner = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        # Half-edge k is the key owner*n + dest; its reverse is the one
+        # half-edge keyed dest*n + owner (the graph is simple, so keys are
+        # unique).  One sort locates every reverse key at once.
+        keys = owner * n + dest
+        order = np.argsort(keys)
+        reverse = order[np.searchsorted(keys, dest * n + owner, sorter=order)]
         return cls(
-            nodes=flat.nodes,
+            nodes=nodes,
             indptr=indptr,
             dest=dest,
             owner=owner,

@@ -1,7 +1,11 @@
 """Tests for the validity checkers, including failure injection."""
 
+from collections.abc import Mapping
+
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.checkers import (
     check_arbdefective_colored_ruling_set,
@@ -15,7 +19,7 @@ from repro.checkers import (
     check_sinkless_orientation,
     check_x_maximal_y_matching,
 )
-from repro.graphs import cage, cycle, mark_bipartition
+from repro.graphs import cage, cycle, is_independent_set, mark_bipartition
 from repro.problems import maximal_matching_problem, pi_arbdefective
 
 
@@ -99,6 +103,41 @@ class TestRulingSetCheckers:
         graph, _d, _g = cage("petersen")
         assert not check_mis(graph, set())
 
+    def test_adjacent_pair_named_in_str_order(self):
+        # str order is 10 < 2 < 3: (10, 2) is not an edge, (10, 3) is the
+        # first adjacent pair, ahead of (2, 3).
+        graph = nx.Graph([(2, 3), (10, 3), (10, 4)])
+        result = check_mis(graph, {2, 3, 10})
+        assert result.reason == "S contains adjacent nodes 10, 3"
+        result = check_ruling_set(graph, {2, 3, 4}, 2, independent=True)
+        assert result.reason == "S contains adjacent nodes 2, 3"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_reason_matches_pairwise_reference(self, data):
+        """The edge scan names the same pair as the pairwise scan it
+        replaced: the first adjacent pair in ``sorted(S, key=str)``."""
+        labels = data.draw(st.lists(
+            st.integers(0, 30) | st.text("ab1", max_size=2),
+            min_size=1, max_size=10, unique=True,
+        ))
+        graph = nx.Graph()
+        graph.add_nodes_from(labels)
+        pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i:]]
+        graph.add_edges_from(data.draw(st.lists(st.sampled_from(pairs), max_size=20)))
+        members = sorted(labels, key=str)  # S = V: every node dominated
+        expected = next(
+            (
+                f"S contains adjacent nodes {u!r}, {v!r}"
+                for index, u in enumerate(members)
+                for v in members[index + 1:]
+                if graph.has_edge(u, v)
+            ),
+            "",
+        )
+        assert check_mis(graph, set(labels)).reason == expected
+        assert is_independent_set(graph, set(labels)) == (expected == "")
+
     def test_colored_ruling_set_composite(self):
         graph = nx.path_graph(5)
         ruling_set = {0, 3}
@@ -110,6 +149,63 @@ class TestRulingSetCheckers:
         assert not check_arbdefective_colored_ruling_set(
             graph, {0, 4}, {0: 1, 4: 1}, set(), alpha=0, colors=1, beta=1
         )
+
+
+class _CountingAdjacency(Mapping):
+    """``graph.adj`` that charges every neighbor row it hands out."""
+
+    def __init__(self, graph):
+        self._graph = graph
+
+    def __getitem__(self, node):
+        row = self._graph._adj[node]
+        self._graph.work += len(row)
+        return row
+
+    def __iter__(self):
+        return iter(self._graph._adj)
+
+    def __len__(self):
+        return len(self._graph._adj)
+
+    def __contains__(self, node):
+        return node in self._graph._adj
+
+
+class _CountingGraph(nx.Graph):
+    """Counts adjacency work: ``has_edge`` calls plus neighbors read
+    through ``adj``."""
+
+    work = 0
+
+    def has_edge(self, u, v):
+        self.work += 1
+        return super().has_edge(u, v)
+
+    @property
+    def adj(self):
+        return _CountingAdjacency(self)
+
+
+class TestIndependenceScaling:
+    """Independence checks cost O(n + m), not one lookup per pair of S."""
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            check_mis,
+            lambda graph, members: check_ruling_set(graph, members, 2, True),
+            is_independent_set,
+        ],
+        ids=["check_mis", "check_ruling_set", "is_independent_set"],
+    )
+    def test_work_grows_linearly(self, check):
+        def work(n):
+            graph = _CountingGraph(nx.cycle_graph(n))
+            assert check(graph, set(range(0, n, 2)))  # independent, dominating
+            return graph.work
+
+        assert work(2000) <= 3 * work(1000)
 
 
 class TestSinklessOrientationChecker:

@@ -1,8 +1,10 @@
 """Tests for the LOCAL / Supported LOCAL simulator."""
 
 import networkx as nx
+import numpy as np
 import pytest
 
+from repro.api.types import VectorizedSpec
 from repro.graphs import cage, cycle
 from repro.local import (
     EngineProbe,
@@ -16,7 +18,13 @@ from repro.local import (
     run_synchronous,
     run_view_algorithm,
 )
+from repro.local.vectorized import KERNELS, VectorizedAlgorithm, run_vectorized
 from repro.utils import LocalityViolationError, SimulationError
+
+#: The runners behind every registered engine.  The per-node programs
+#: below carry no kernel spec, so ``run_vectorized`` runs them on its
+#: object-semantics fallback path.
+ENGINES = [run_synchronous, run_vectorized]
 
 
 class TestNetwork:
@@ -274,3 +282,196 @@ class TestMeasurement:
             "messages_dropped": 0,
             "peak_live_nodes": 4,
         }
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+class TestEngineProtocol:
+    """Every engine runner honors the same protocol contracts."""
+
+    def test_one_round_id_exchange(self, engine):
+        network = Network(graph=cycle(4))
+        result = engine(network, _EchoIds)
+        assert result.rounds == 1
+        for node in network.graph.nodes:
+            expected = sorted(
+                network.ids[neighbor] for neighbor in network.graph.neighbors(node)
+            )
+            assert result.outputs[node] == expected
+
+    def test_nonhalting_algorithm_detected(self, engine):
+        class Forever(NodeAlgorithm):
+            pass
+
+        network = Network(graph=cycle(3))
+        with pytest.raises(SimulationError, match="did not halt"):
+            engine(network, Forever, max_rounds=5)
+
+    def test_invalid_port_detected(self, engine):
+        class BadPort(NodeAlgorithm):
+            def send(self):
+                return {99: "boom"}
+
+            def receive(self, messages):
+                self.halt(None)
+
+        network = Network(graph=cycle(3))
+        with pytest.raises(SimulationError, match="invalid ports"):
+            engine(network, BadPort)
+
+    def test_float_port_equal_to_int_delivered(self, engine):
+        """Set-membership port checks admit 1.0 as port 1."""
+
+        class FloatPort(NodeAlgorithm):
+            def send(self):
+                return {1.0: "hello"}
+
+            def receive(self, messages):
+                self.halt(dict(messages))
+
+        result = engine(Network(graph=cycle(3)), FloatPort)
+        reference = run_synchronous(Network(graph=cycle(3)), FloatPort)
+        assert result.outputs == reference.outputs
+        assert sum(len(v) for v in result.outputs.values()) == 3  # delivered
+
+    def test_fractional_and_nonnumeric_ports_stray(self, engine):
+        for bad_port in (1.5, "x"):
+
+            class BadPort(NodeAlgorithm):
+                def send(self, _p=bad_port):
+                    return {_p: "boom"}
+
+                def receive(self, messages):
+                    self.halt(None)
+
+            network = Network(graph=cycle(3))
+            with pytest.raises(SimulationError, match="invalid ports"):
+                engine(network, BadPort)
+
+    def test_halting_during_send_with_messages_rejected(self, engine):
+        class SilenceViolator(NodeAlgorithm):
+            def send(self):
+                self.halt("done")
+                return {port: "x" for port in self.ctx.ports}
+
+        network = Network(graph=cycle(3))
+        with pytest.raises(SimulationError, match="halted during send"):
+            engine(network, SilenceViolator)
+
+    def test_all_nodes_halting_in_init_is_a_zero_round_run(self, engine):
+        network = Network(graph=cycle(5))
+        result = engine(
+            network, _InitHalter, extra=lambda node: {"halts_in_init": True}
+        )
+        assert result.rounds == 0
+        assert set(result.outputs.values()) == {"init-halted"}
+
+
+class _InitHalterKernel(VectorizedAlgorithm):
+    """Batch form of :class:`_InitHalter`: nodes in ``data["halted"]``
+    halt in init, the rest ping every port once and halt on the pings
+    they hear."""
+
+    def __init__(self, vnet, network, data, rng_for=None):
+        super().__init__(vnet, network, data, rng_for=rng_for)
+        self.heard = np.zeros(vnet.n, dtype=np.int64)
+
+    def init_all(self):
+        halted = self.data["halted"]
+        self.halted[:] = [node in halted for node in self.vnet.nodes]
+        self.init_halted = self.halted.copy()
+
+    def send_all(self, rnd):
+        return np.flatnonzero(~self.halted[self.vnet.owner]), None
+
+    def receive_all(self, rnd, slots, payloads):
+        np.add.at(self.heard, self.vnet.owner[slots], 1)
+        self.halted[:] = True
+
+    def outputs_all(self):
+        return [
+            "init-halted" if init_halted else ["ping"] * heard
+            for init_halted, heard in zip(
+                self.init_halted.tolist(), self.heard.tolist()
+            )
+        ]
+
+
+def _run_init_halter(network, halted, engine, **kwargs):
+    """Run the init-halter on ``engine``: per node on the object engine,
+    as :class:`_InitHalterKernel` on the vectorized one."""
+    if engine is run_vectorized:
+        kwargs["vectorized"] = VectorizedSpec(
+            kernel="test:init-halter", data={"halted": halted}
+        )
+    return engine(
+        network,
+        _InitHalter,
+        extra=lambda node: {"halts_in_init": node in halted},
+        **kwargs,
+    )
+
+
+class TestEngineTraceEquivalence:
+    """Identical outputs AND identical per-round traces from the object
+    engine and a vectorized kernel."""
+
+    @pytest.fixture(autouse=True)
+    def _kernel(self, monkeypatch):
+        monkeypatch.setitem(KERNELS, "test:init-halter", _InitHalterKernel)
+
+    @pytest.mark.parametrize("halted_parity", [0, 1])
+    def test_init_halt_traces_match(self, halted_parity):
+        halted = frozenset(node for node in range(6) if node % 2 == halted_parity)
+
+        def run(engine):
+            probe = EngineProbe()
+            result = _run_init_halter(
+                Network(graph=cycle(6)), halted, engine, on_round=probe
+            )
+            return result, probe.traces
+
+        object_result, object_traces = run(run_synchronous)
+        vectorized_result, vectorized_traces = run(run_vectorized)
+        assert object_result == vectorized_result
+        assert object_traces == vectorized_traces
+
+    def test_dropped_messages_counted_identically(self):
+        network = Network(graph=cycle(4))
+        halted = frozenset(node for node in network.graph.nodes if node % 2 == 0)
+        result, measurement = measured_run_synchronous(
+            network,
+            _InitHalter,
+            engine=run_vectorized,
+            vectorized=VectorizedSpec(
+                kernel="test:init-halter", data={"halted": halted}
+            ),
+        )
+        assert result.rounds == 1
+        assert measurement.messages_delivered == 0
+        assert measurement.messages_dropped == 4  # 2 live nodes x 2 ports
+
+
+class TestMeasuredRunMaxRounds:
+    """max_rounds is an explicit guard threaded through the measured entry
+    point (not swallowed by **kwargs), on every engine runner."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_non_terminating_run_raises(self, engine):
+        class Forever(NodeAlgorithm):
+            def send(self):
+                return {}
+
+            def receive(self, messages):
+                pass
+
+        network = Network(graph=cycle(3))
+        with pytest.raises(SimulationError, match="did not halt within 7"):
+            measured_run_synchronous(
+                network, Forever, max_rounds=7, engine=engine
+            )
+
+    def test_default_guard_is_finite(self):
+        import inspect
+
+        signature = inspect.signature(measured_run_synchronous)
+        assert signature.parameters["max_rounds"].default == 10_000

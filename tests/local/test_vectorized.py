@@ -1,27 +1,29 @@
 """The vectorized engine: CSR array compilation, kernel dispatch, the
 drop rule over arrays, and the per-node fallback for unported programs."""
 
+import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy")
-
-from repro import api  # noqa: E402
-from repro.api.types import VectorizedSpec  # noqa: E402
-from repro.graphs import cage, cycle  # noqa: E402
-from repro.local import (  # noqa: E402
+from repro import api
+from repro.api.types import VectorizedSpec
+from repro.graphs import cage, cycle
+from repro.local import (
     EngineProbe,
     Network,
     NodeAlgorithm,
     run_synchronous,
 )
-from repro.local.simulator import RoundTrace  # noqa: E402
-from repro.local.vectorized import (  # noqa: E402
+from repro.local.simulator import RoundTrace
+from repro.local.vectorized import (
     KERNELS,
     VectorizedAlgorithm,
     VectorNetwork,
     run_vectorized,
 )
-from repro.utils import SimulationError  # noqa: E402
+from repro.utils import SimulationError
 
 
 class _EchoIds(NodeAlgorithm):
@@ -65,7 +67,65 @@ class _NeverHalts(VectorizedAlgorithm):
         return [None] * self.vnet.n
 
 
+#: Node labels of mixed types: ints, non-integral floats and strings
+#: (``Network`` orders nodes by ``str`` for its canonical IDs).
+_LABELS = st.one_of(
+    st.integers(-50, 50),
+    st.floats(-50, 50, allow_nan=False).filter(lambda x: not x.is_integer()),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def _networks(draw):
+    """Irregular simple graphs (isolated nodes and the empty graph
+    included), optionally with random IDs."""
+    nodes = draw(st.lists(_LABELS, max_size=12, unique=True))
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
+    if pairs:
+        graph.add_edges_from(draw(st.lists(st.sampled_from(pairs), max_size=30)))
+    network = Network(graph=graph)
+    seed = draw(st.none() | st.integers(0, 2**16))
+    return network if seed is None else network.with_random_ids(seed)
+
+
+def _reference_arrays(network):
+    """The CSR arrays spelled out one half-edge at a time from the port
+    maps (``via_port`` / ``port_to``)."""
+    nodes = tuple(network.graph.nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    indptr, dest, owner, back = [0], [], [], []
+    for i, node in enumerate(nodes):
+        for port in range(1, network.graph.degree(node) + 1):
+            neighbor = network.via_port(node, port)
+            dest.append(index[neighbor])
+            owner.append(i)
+            back.append(network.port_to(neighbor, node))
+        indptr.append(len(dest))
+    reverse = [indptr[j] + port - 1 for j, port in zip(dest, back)]
+    return nodes, {
+        "indptr": indptr,
+        "dest": dest,
+        "owner": owner,
+        "reverse": reverse,
+        "degrees": [b - a for a, b in zip(indptr, indptr[1:])],
+    }
+
+
 class TestVectorNetwork:
+    @settings(max_examples=150, deadline=None)
+    @given(_networks())
+    def test_csr_arrays_match_port_maps(self, network):
+        vnet = VectorNetwork.from_network(network)
+        nodes, expected = _reference_arrays(network)
+        assert vnet.nodes == nodes
+        for name, values in expected.items():
+            array = getattr(vnet, name)
+            assert array.dtype == np.int64, name
+            assert array.tolist() == values, name
+
     def test_arrays_match_port_maps(self):
         graph, _d, _g = cage("petersen")
         network = Network(graph=graph)
@@ -236,7 +296,6 @@ class TestSweepKernelEdges:
         payload must actually land in the receiver's seen-colors row —
         chained classes down a path make every mex depend on the
         neighbor's payload from the previous round."""
-        nx = pytest.importorskip("networkx")
         network = Network(graph=nx.path_graph(5))
         program = _coloring_program(
             network, {"initial_coloring": {i: i for i in range(5)}}
@@ -253,7 +312,6 @@ class TestSweepKernelEdges:
         assert result.rounds == 5
 
     def test_empty_graph_runs_zero_rounds(self):
-        nx = pytest.importorskip("networkx")
         network = Network(graph=nx.Graph())
         program = _coloring_program(network, {})
         result = run_vectorized(

@@ -13,6 +13,7 @@ from repro.service import (
     REQUEST_SCHEMA,
     ServiceClient,
     SolveService,
+    solve_request,
     start_http_service,
 )
 from repro.utils.serialization import canonical_dumps
@@ -58,6 +59,23 @@ class TestEndToEnd:
         response = client.solve(SPEC, algorithm="no:algo")
         assert response["status"] == "error"
         assert response["error"]["code"] == "unknown-algorithm"
+
+    def test_deleted_batched_engine_is_unknown(self, live):
+        """The removed ``batched`` engine has no alias: the daemon answers
+        400 ``unknown-engine`` and the service returns the typed error."""
+        client, service = live
+        body = solve_request(SPEC, algorithm=ALGORITHM, n=24, engine="batched")
+        request = urllib.request.Request(
+            f"{client.url}/v1/request", data=json.dumps(body).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 400
+        assert json.loads(excinfo.value.read())["error"]["code"] == "unknown-engine"
+        error = service.submit(body)["error"]
+        assert error["code"] == "unknown-engine"
+        assert "'object', 'vectorized'" in error["message"]
 
     def test_malformed_body_is_bad_request(self, live):
         client, _service = live
