@@ -16,6 +16,7 @@ from collections.abc import Callable
 
 import networkx as nx
 
+from repro.api.errors import SpecError
 from repro.api.registry import Algorithm, register_algorithm
 from repro.api.types import MessagePassingProgram, ProblemSpec, VectorizedSpec
 from repro.graphs.double_cover import mark_bipartition
@@ -82,19 +83,60 @@ def input_delta_prime(input_edges: frozenset) -> int:
     return max(input_graph_degrees.values(), default=0)
 
 
-def proposal_extra(network: Network, input_edges: frozenset) -> Callable:
+def input_subgraph(support: nx.Graph, entries) -> frozenset:
+    """The ``input_edges`` option as G′, checked to satisfy G′ ⊆ G.
+
+    Raises :class:`SpecError` naming the first offending entry in ``str``
+    order: one without two distinct endpoints, or one that is not an
+    edge of the support graph.
+    """
+    try:
+        entries = list(entries)
+    except TypeError:
+        raise SpecError(
+            f"input_edges must be a collection of edges, got {entries!r}"
+        ) from None
+    edges = set()
+    offending = []
+    for entry in entries:
+        try:
+            edge = frozenset(entry)
+        except TypeError:
+            # Not iterable, or unhashable endpoints: no node of G either way.
+            edge = None
+        if edge is not None and len(edge) != 2:
+            offending.append((entry, "does not have two distinct endpoints"))
+        elif edge is None or not support.has_edge(*edge):
+            offending.append((entry, "is not an edge of the support graph G"))
+        else:
+            edges.add(edge)
+    if offending:
+        entry, problem = min(offending, key=lambda pair: str(pair[0]))
+        raise SpecError(
+            f"input_edges entry {entry!r} {problem}; Supported LOCAL "
+            f"needs G′ ⊆ G"
+        )
+    return frozenset(edges)
+
+
+def proposal_extra(
+    network: Network, input_edges: frozenset | None, delta_prime: int
+) -> Callable:
     """The per-node knowledge of the proposal algorithm: own color, input
     ports (ports leading into G′) and Δ′ (part of the model's initial
-    knowledge)."""
+    knowledge).  ``input_edges=None`` means G′ = G: every port is an
+    input port."""
     support = network.graph
-    delta_prime = input_delta_prime(input_edges)
 
     def extra(node) -> dict:
-        input_ports = sorted(
-            network.port_to(node, neighbor)
-            for neighbor in support.neighbors(node)
-            if frozenset((node, neighbor)) in input_edges
-        )
+        if input_edges is None:
+            input_ports = list(range(1, len(network.neighbors(node)) + 1))
+        else:
+            input_ports = sorted(
+                network.port_to(node, neighbor)
+                for neighbor in support.neighbors(node)
+                if frozenset((node, neighbor)) in input_edges
+            )
         return {
             "color": support.nodes[node]["color"],
             "input_ports": input_ports,
@@ -107,14 +149,15 @@ def proposal_extra(network: Network, input_edges: frozenset) -> Callable:
 def matching_from_outputs(network: Network, outputs: dict) -> set[frozenset]:
     """Decode ``{"matched": port}`` node outputs into a matching edge set
     (white outputs are authoritative; black outputs mirror them)."""
-    support = network.graph
+    color_of = dict(network.graph.nodes(data="color"))
+    via_port = network.via_port
     matching: set[frozenset] = set()
     for node, output in outputs.items():
-        if support.nodes[node]["color"] != "white":
+        if color_of[node] != "white":
             continue
         port = output.get("matched")
         if port is not None:
-            matching.add(frozenset((node, network.via_port(node, port))))
+            matching.add(frozenset((node, via_port(node, port))))
     return matching
 
 
@@ -127,9 +170,9 @@ def bipartite_maximal_matching(
     is computed on the input graph G′ = ``input_edges``.
     """
     network = Network(graph=support)
-    result: RunResult = run_synchronous(
-        network, _ProposalNode, extra=proposal_extra(network, input_edges)
-    )
+    input_edges = input_subgraph(support, input_edges)
+    extra = proposal_extra(network, input_edges, input_delta_prime(input_edges))
+    result: RunResult = run_synchronous(network, _ProposalNode, extra=extra)
     return matching_from_outputs(network, result.outputs), result.rounds
 
 
@@ -138,9 +181,10 @@ class ProposalMatching(Algorithm):
 
     Runs on any 2-colored support graph (uncolored bipartite graphs are
     2-colored in place).  Option ``input_edges`` restricts the matching
-    to an input subgraph G′ ⊆ G; the default is G′ = G.  A maximal
-    matching is x-maximal and y-bounded for every x ≥ 0, y ≥ 1, so the
-    whole Π_Δ(x,y) family is declared compatible.
+    to an input subgraph G′ ⊆ G (anything else is a :class:`SpecError`);
+    the default is G′ = G.  A maximal matching is x-maximal and y-bounded
+    for every x ≥ 0, y ≥ 1, so the whole Π_Δ(x,y) family is declared
+    compatible.
     """
 
     name = "matching:proposal"
@@ -152,25 +196,29 @@ class ProposalMatching(Algorithm):
         self, network: Network, spec: ProblemSpec, options: dict
     ) -> MessagePassingProgram:
         support = network.graph
-        if any("color" not in support.nodes[node] for node in support.nodes):
+        if any("color" not in attrs for _node, attrs in support.nodes(data=True)):
             mark_bipartition(support)
-        restricted = options.get("input_edges") is not None
-        if restricted:
-            input_edges = frozenset(
-                frozenset(edge) for edge in options["input_edges"]
+        if options.get("input_edges") is None:
+            # G′ = G: no edge set is built and every port is an input
+            # port.  Δ′ is the longest adjacency row: a self-loop counts
+            # once, as in input_delta_prime, not twice as in graph.degree.
+            input_edges = None
+            delta_prime = max(
+                (len(row) for _node, row in support.adjacency()), default=0
             )
         else:
-            input_edges = frozenset(frozenset(edge) for edge in support.edges)
+            input_edges = input_subgraph(support, options["input_edges"])
+            delta_prime = input_delta_prime(input_edges)
         return MessagePassingProgram(
             factory=_ProposalNode,
-            extra=proposal_extra(network, input_edges),
+            extra=proposal_extra(network, input_edges, delta_prime),
             vectorized=VectorizedSpec(
                 kernel="matching:proposal",
                 data={
-                    # None ⇒ G′ = G: every port is an input port, and the
-                    # kernel skips the per-edge membership scan.
-                    "input_edges": input_edges if restricted else None,
-                    "delta_prime": input_delta_prime(input_edges),
+                    # None ⇒ G′ = G: the kernel skips the per-edge
+                    # membership scan.
+                    "input_edges": input_edges,
+                    "delta_prime": delta_prime,
                 },
             ),
         )

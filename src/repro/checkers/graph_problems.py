@@ -46,27 +46,30 @@ def check_x_maximal_y_matching(
     has ≥ min{deg(v), Δ−x} matched neighbors.  Δ defaults to the graph's
     maximum degree.
     """
+    # Plain adjacency dicts throughout, no per-node view lookups; a
+    # self-loop counts twice towards a degree, as in ``graph.degree``.
     if delta is None:
-        delta = max((graph.degree(v) for v in graph.nodes), default=0)
+        delta = max(
+            (len(row) + (node in row) for node, row in graph.adjacency()),
+            default=0,
+        )
     for edge in matching:
-        u, v = tuple(edge)
+        u, v = edge
         if not graph.has_edge(u, v):
             return _fail(f"matching edge {(u, v)} is not a graph edge")
-    incidence = {node: 0 for node in graph.nodes}
-    for edge in matching:
-        for endpoint in edge:
-            incidence[endpoint] += 1
+    incidence = dict.fromkeys(graph, 0)
+    for u, v in matching:
+        incidence[u] += 1
+        incidence[v] += 1
     for node, count in incidence.items():
         if count > y:
             return _fail(f"node {node!r} is matched {count} > y = {y} times")
     matched = {node for node, count in incidence.items() if count > 0}
-    for node in graph.nodes:
+    for node, row in graph.adjacency():
         if node in matched:
             continue
-        matched_neighbors = sum(
-            1 for neighbor in graph.neighbors(node) if neighbor in matched
-        )
-        needed = min(graph.degree(node), delta - x)
+        matched_neighbors = sum(1 for neighbor in row if neighbor in matched)
+        needed = min(len(row) + (node in row), delta - x)
         if matched_neighbors < needed:
             return _fail(
                 f"unmatched node {node!r} has {matched_neighbors} matched "
@@ -146,7 +149,9 @@ def check_ruling_set(
         # Report the first adjacent pair in ``str`` order (the lowest
         # rank, then its lowest-ranked later neighbor), scanning only the
         # edges at S: O(|S| log |S| + Σ deg) rather than O(|S|²) lookups.
-        members = sorted(ruling_set, key=str)
+        # ``repr`` breaks ``str`` ties (1 vs "1"), which set iteration
+        # order would otherwise decide.
+        members = sorted(ruling_set, key=lambda node: (str(node), repr(node)))
         rank = {node: index for index, node in enumerate(members)}
         for index, u in enumerate(members):
             later = [rank[v] for v in graph.adj[u] if rank.get(v, -1) > index]
@@ -198,12 +203,11 @@ def check_sinkless_orientation(
             return _fail(f"edge {tuple(edge)} is unoriented")
         if orientation[key] not in key:
             return _fail(f"head of {tuple(edge)} is not an endpoint")
-    for node in graph.nodes:
-        if graph.degree(node) == 0:
+    for node, row in graph.adjacency():
+        if not row:
             continue
         has_outgoing = any(
-            orientation[frozenset((node, neighbor))] != node
-            for neighbor in graph.neighbors(node)
+            orientation[frozenset((node, neighbor))] != node for neighbor in row
         )
         if not has_outgoing:
             return _fail(f"node {node!r} is a sink")

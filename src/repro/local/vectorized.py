@@ -300,9 +300,9 @@ class ProposalMatchingKernel(VectorizedAlgorithm):
 
     def __init__(self, vnet, network, data, rng_for=None):
         super().__init__(vnet, network, data, rng_for=rng_for)
-        attrs = network.graph.nodes
+        color_of = dict(network.graph.nodes(data="color"))
         self.white = np.fromiter(
-            (attrs[node]["color"] == "white" for node in vnet.nodes),
+            (color_of[node] == "white" for node in vnet.nodes),
             dtype=bool,
             count=vnet.n,
         )

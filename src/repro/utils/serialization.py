@@ -16,6 +16,15 @@ import json
 from pathlib import Path
 
 
+#: ``json.dumps(item, sort_keys=True)`` without building a new encoder
+#: per call: the sort key of every set element.
+_sort_key = json.JSONEncoder(sort_keys=True).encode
+#: The compact form of the same encoding, for container dict keys.
+_compact_key = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: Exact scalar types, returned as they are without an isinstance probe.
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
 def to_jsonable(value):
     """Recursively convert ``value`` into JSON-encodable structures.
 
@@ -23,15 +32,26 @@ def to_jsonable(value):
     encoding, so mixed element types are fine); tuples become lists;
     dataclasses become dicts; dict keys are stringified.
     """
-    if value is None or isinstance(value, (bool, int, float, str)):
+    # Exact built-in types first: a large report is mostly these, and
+    # none of them can be a dataclass instance.  Subclasses (namedtuples,
+    # dataclasses deriving from a container) take the general path below.
+    kind = type(value)
+    if kind in _SCALAR_TYPES:
+        return value
+    if kind is tuple or kind is list:
+        return [to_jsonable(item) for item in value]
+    if kind is frozenset or kind is set:
+        return sorted([to_jsonable(item) for item in value], key=_sort_key)
+    if kind is dict:
+        return {_canonical_key(key): to_jsonable(item) for key, item in value.items()}
+    if isinstance(value, (bool, int, float, str)):
         return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return to_jsonable(dataclasses.asdict(value))
     if isinstance(value, dict):
         return {_canonical_key(key): to_jsonable(item) for key, item in value.items()}
     if isinstance(value, (set, frozenset)):
-        converted = [to_jsonable(item) for item in value]
-        return sorted(converted, key=lambda item: json.dumps(item, sort_keys=True))
+        return sorted([to_jsonable(item) for item in value], key=_sort_key)
     if isinstance(value, (list, tuple)):
         return [to_jsonable(item) for item in value]
     return str(value)
@@ -49,7 +69,7 @@ def _canonical_key(key) -> str:
         return key
     if isinstance(key, (bool, int, float)) or key is None:
         return str(key)
-    return json.dumps(to_jsonable(key), sort_keys=True, separators=(",", ":"))
+    return _compact_key(to_jsonable(key))
 
 
 def canonical_dumps(value, indent: int | None = None) -> str:

@@ -15,7 +15,9 @@ oracle                  cross-checked implementations
 ``solver``              CSP existence vs brute-force enumeration, with the
                         returned solution validated by two checkers
 ``serialization``       canonical-JSON encode → decode → encode stability
-                        and digest agreement (:mod:`repro.utils.serialization`)
+                        and digest agreement (:mod:`repro.utils.serialization`),
+                        plus byte parity with a straightforward reference
+                        encoder (no fast paths, one ``json.dumps`` per key)
 ``views``               Supported LOCAL view collection vs an independent
                         BFS reimplementation (:mod:`repro.local.views`)
 ``explore``             store-memoized canonical RE expansion
@@ -42,6 +44,7 @@ candidate cases for the shrinking minimizer.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from collections import deque
@@ -395,9 +398,42 @@ class SatOracle(Oracle):
 # serialization: canonical JSON round-trip stability
 
 
+def _reference_to_jsonable(value):
+    """``to_jsonable`` without its fast paths: isinstance dispatch in the
+    documented order, a fresh ``json.dumps`` per set-element sort key."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return _reference_to_jsonable(dataclasses.asdict(value))
+    if isinstance(value, dict):
+        return {
+            _reference_key(key): _reference_to_jsonable(item)
+            for key, item in value.items()
+        }
+    if isinstance(value, (set, frozenset)):
+        converted = [_reference_to_jsonable(item) for item in value]
+        return sorted(converted, key=lambda item: json.dumps(item, sort_keys=True))
+    if isinstance(value, (list, tuple)):
+        return [_reference_to_jsonable(item) for item in value]
+    return str(value)
+
+
+def _reference_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (bool, int, float)) or key is None:
+        return str(key)
+    return json.dumps(
+        _reference_to_jsonable(key), sort_keys=True, separators=(",", ":")
+    )
+
+
 class SerializationOracle(Oracle):
     name = "serialization"
-    description = "canonical JSON encode → decode → encode byte stability"
+    description = (
+        "canonical JSON encode → decode → encode byte stability and "
+        "reference-encoder parity"
+    )
 
     def generate(self, rng: random.Random) -> dict:
         return {"tree": random_value_tree(rng)}
@@ -405,6 +441,14 @@ class SerializationOracle(Oracle):
     def check(self, params: dict) -> str | None:
         value = build_value(params["tree"])
         encoded = canonical_dumps(value)
+        reference = json.dumps(
+            _reference_to_jsonable(value), sort_keys=True, separators=(",", ":")
+        )
+        if encoded != reference:
+            return (
+                f"fast encoder differs from the reference: {encoded!r} "
+                f"vs {reference!r}"
+            )
         decoded = json.loads(encoded)
         re_encoded = canonical_dumps(decoded)
         if re_encoded != encoded:

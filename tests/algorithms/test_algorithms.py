@@ -53,9 +53,11 @@ class TestProposalMatching:
         graph, _d, _g = cage("heawood")
         cover = bipartite_double_cover(graph)
         _m, rounds_full = bipartite_maximal_matching(cover, _full_input(cover))
-        # Input = a perfect matching of the cover (Δ′ = 1).
+        # Input = a perfect matching of the cover (Δ′ = 1): lift a
+        # perfect matching of the (bipartite) Heawood graph to both sides.
+        mate = nx.bipartite.maximum_matching(graph)
         thin = frozenset(
-            frozenset(((node, 0), (node, 1))) for node in graph.nodes
+            frozenset(((node, 0), (mate[node], 1))) for node in graph.nodes
         )
         _m2, rounds_thin = bipartite_maximal_matching(cover, thin)
         assert rounds_full == 2 * 3

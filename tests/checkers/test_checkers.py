@@ -116,7 +116,8 @@ class TestRulingSetCheckers:
     @given(st.data())
     def test_reason_matches_pairwise_reference(self, data):
         """The edge scan names the same pair as the pairwise scan it
-        replaced: the first adjacent pair in ``sorted(S, key=str)``."""
+        replaced: the first adjacent pair in ``str`` order, ``repr``
+        breaking ties (labels 1 and "1" share a ``str``)."""
         labels = data.draw(st.lists(
             st.integers(0, 30) | st.text("ab1", max_size=2),
             min_size=1, max_size=10, unique=True,
@@ -125,7 +126,8 @@ class TestRulingSetCheckers:
         graph.add_nodes_from(labels)
         pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i:]]
         graph.add_edges_from(data.draw(st.lists(st.sampled_from(pairs), max_size=20)))
-        members = sorted(labels, key=str)  # S = V: every node dominated
+        # S = V: every node dominated.
+        members = sorted(labels, key=lambda node: (str(node), repr(node)))
         expected = next(
             (
                 f"S contains adjacent nodes {u!r}, {v!r}"
@@ -172,9 +174,18 @@ class _CountingAdjacency(Mapping):
         return node in self._graph._adj
 
 
+class _CountingEdges(nx.reportviews.EdgeView):
+    """``graph.edges`` that charges every edge it yields."""
+
+    def __iter__(self):
+        for edge in super().__iter__():
+            self._graph.work += 1
+            yield edge
+
+
 class _CountingGraph(nx.Graph):
-    """Counts adjacency work: ``has_edge`` calls plus neighbors read
-    through ``adj``."""
+    """Counts adjacency work: ``has_edge`` calls, neighbors read through
+    ``adj`` or ``adjacency()``, and edges iterated through ``edges``."""
 
     work = 0
 
@@ -185,6 +196,15 @@ class _CountingGraph(nx.Graph):
     @property
     def adj(self):
         return _CountingAdjacency(self)
+
+    def adjacency(self):
+        for node, row in super().adjacency():
+            self.work += len(row)
+            yield node, row
+
+    @property
+    def edges(self):
+        return _CountingEdges(self)
 
 
 class TestIndependenceScaling:
@@ -206,6 +226,90 @@ class TestIndependenceScaling:
             return graph.work
 
         assert work(2000) <= 3 * work(1000)
+
+
+def _cycle_work(n, check) -> int:
+    """Adjacency work ``check`` spends on a valid solution over C_n."""
+    graph = _CountingGraph(nx.cycle_graph(n))
+    assert check(graph, n)
+    return graph.work
+
+
+def _cycle_matching(graph, n):
+    # Match (3i, 3i+1) for every whole triple; a leftover node or two
+    # stay unmatched next to matched ones (n ≡ 1, 2 mod 3 keeps it
+    # maximal: every unmatched node sees a matched neighbor per edge).
+    matching = {frozenset((i, i + 1)) for i in range(0, n - 2, 3)}
+    if n % 3 == 2:
+        matching.add(frozenset((n - 2, n - 1)))
+    return check_x_maximal_y_matching(graph, matching, x=1, y=1)
+
+
+class TestCheckerScaling:
+    """Every checker costs O(n + m) adjacency work on a valid solution."""
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            _cycle_matching,
+            lambda graph, n: check_proper_coloring(
+                graph, {node: node % 2 for node in range(n)}
+            ),
+            lambda graph, n: check_arbdefective_coloring(
+                graph,
+                dict.fromkeys(range(n), 1),
+                {(i, (i + 1) % n) for i in range(n)},
+                alpha=1,
+                colors=1,
+            ),
+            lambda graph, n: check_sinkless_orientation(
+                graph, {frozenset((i, (i + 1) % n)): (i + 1) % n for i in range(n)}
+            ),
+        ],
+        ids=[
+            "check_x_maximal_y_matching",
+            "check_proper_coloring",
+            "check_arbdefective_coloring",
+            "check_sinkless_orientation",
+        ],
+    )
+    def test_work_grows_linearly(self, check):
+        small = _cycle_work(1000, check)
+        assert small >= 1000
+        assert _cycle_work(2000, check) <= 3 * small
+
+
+class TestMatchingCheckerReasons:
+    """The exact text of each x-maximal y-matching failure."""
+
+    def test_non_edge(self):
+        result = check_maximal_matching(nx.path_graph(3), {frozenset((0, 2))})
+        assert result.reason == "matching edge (0, 2) is not a graph edge"
+
+    def test_overmatched(self):
+        matching = {frozenset((0, 1)), frozenset((1, 2))}
+        result = check_maximal_matching(nx.path_graph(3), matching)
+        assert result.reason == "node 1 is matched 2 > y = 1 times"
+
+    def test_unmatched_with_too_few_matched_neighbors(self):
+        result = check_maximal_matching(nx.path_graph(3), set())
+        assert result.reason == (
+            "unmatched node 0 has 0 matched neighbors < min{deg, Δ−x} = 1"
+        )
+
+    def test_self_loop_counts_twice_towards_degree(self):
+        graph = nx.Graph([(0, 0), (0, 1), (1, 2)])
+        result = check_x_maximal_y_matching(graph, set(), x=0, y=1)
+        assert result.reason == (
+            "unmatched node 0 has 0 matched neighbors < min{deg, Δ−x} = 3"
+        )
+
+    def test_explicit_delta_caps_the_requirement(self):
+        graph = nx.star_graph(3)
+        result = check_x_maximal_y_matching(graph, set(), x=1, y=1, delta=3)
+        assert result.reason == (
+            "unmatched node 0 has 0 matched neighbors < min{deg, Δ−x} = 2"
+        )
 
 
 class TestSinklessOrientationChecker:

@@ -149,6 +149,20 @@ class TestErrorMapping:
         assert response["error"]["code"] == code
         assert response["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "input_edges",
+        [[[0, 5]], [[[0, 0], [3, 1]]]],
+        ids=["unknown-nodes", "wire-spelled-non-edge"],
+    )
+    def test_input_edges_outside_support_is_bad_spec(self, service, input_edges):
+        response = service.submit(
+            matching_request(options={"input_edges": input_edges})
+        )
+        assert response["status"] == "error"
+        assert response["error"]["code"] == "bad-spec"
+        assert "Supported LOCAL needs G′ ⊆ G" in response["error"]["message"]
+        assert len(service.cache) == 0
+
     def test_errors_counted(self, service):
         before = service.errors
         service.submit({"schema": "bogus/v1"})

@@ -1,7 +1,12 @@
 """Canonical serialization: the substrate of result reproducibility."""
 
+import dataclasses
 import json
+from collections import namedtuple
 from dataclasses import dataclass
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils.serialization import (
     canonical_dumps,
@@ -15,6 +20,139 @@ from repro.utils.serialization import (
 class _Point:
     x: int
     y: int
+
+
+# -- reference: the straightforward encoder the fast paths must match ------
+
+
+def _reference_to_jsonable(value):
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return _reference_to_jsonable(dataclasses.asdict(value))
+    if isinstance(value, dict):
+        return {
+            _reference_key(key): _reference_to_jsonable(item)
+            for key, item in value.items()
+        }
+    if isinstance(value, (set, frozenset)):
+        converted = [_reference_to_jsonable(item) for item in value]
+        return sorted(converted, key=lambda item: json.dumps(item, sort_keys=True))
+    if isinstance(value, (list, tuple)):
+        return [_reference_to_jsonable(item) for item in value]
+    return str(value)
+
+
+def _reference_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (bool, int, float)) or key is None:
+        return str(key)
+    return json.dumps(
+        _reference_to_jsonable(key), sort_keys=True, separators=(",", ":")
+    )
+
+
+def _reference_dumps(value, indent=None) -> str:
+    separators = (",", ": ") if indent is not None else (",", ":")
+    return json.dumps(
+        _reference_to_jsonable(value),
+        sort_keys=True,
+        indent=indent,
+        separators=separators,
+    )
+
+
+_Edge = namedtuple("_Edge", "tail head")
+
+
+@dataclass(frozen=True)
+class _Tagged:
+    # Fields out of alphabetical order: ``sort_keys`` must reorder them.
+    tag: object
+    data: object
+
+
+_texts = st.text(max_size=6) | st.sampled_from(
+    [", ", ": ", "a, b", "k: v", "é", "Δ′", "日本", '"q"', "\\"]
+)
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False)
+    | _texts
+)
+
+
+def _hashable(shape_and_items):
+    shape, items = shape_and_items
+    if shape in (tuple, frozenset):
+        return shape(items)
+    return shape(*(items + [None, None])[:2])
+
+
+def _container(shape_and_pairs):
+    shape, pairs = shape_and_pairs
+    if shape is list:
+        return [value for _key, value in pairs]
+    if shape is set:
+        return {key for key, _value in pairs}
+    if shape is dict:
+        return dict(pairs)
+    return _Tagged(*pairs[0]) if pairs else _Tagged(None, None)
+
+
+# Each extension names ``inner`` once: hypothesis reprs the nested
+# strategies, and a repeated ``inner`` makes that repr grow exponentially.
+_hashables = st.recursive(
+    _scalars,
+    lambda inner: st.tuples(
+        st.sampled_from([tuple, frozenset, _Edge, _Tagged]),
+        st.lists(inner, max_size=3),
+    ).map(_hashable),
+    max_leaves=12,
+)
+_values = st.recursive(
+    _hashables,
+    lambda inner: st.tuples(
+        st.sampled_from([list, set, dict, _Tagged]),
+        st.lists(st.tuples(_hashables, inner), max_size=4),
+    ).map(_container),
+    max_leaves=20,
+)
+
+
+class TestReferenceParity:
+    """The fast paths (exact-type dispatch, one shared sort-key encoder)
+    give the reference encoder's values and bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_values)
+    def test_to_jsonable_and_dumps_match_reference(self, value):
+        def outcome(function, *args):
+            # A value both reject (``dataclasses.asdict`` turning a
+            # dataclass dict key into an unhashable dict) must fail alike.
+            try:
+                return function(value, *args)
+            except TypeError as error:
+                return TypeError, str(error)
+
+        assert outcome(to_jsonable) == outcome(_reference_to_jsonable)
+        assert outcome(canonical_dumps) == outcome(_reference_dumps)
+        assert outcome(canonical_dumps, 2) == outcome(_reference_dumps, 2)
+
+    def test_set_order_is_by_ascii_escaped_sorted_key_spelling(self):
+        # "é" is spelled "\u00e9", which sorts before "z"; and dataclass
+        # elements sort by their key-sorted spelling ('{"data": ...').
+        assert to_jsonable({"z", "é"}) == ["é", "z"]
+        value = {_Tagged(1, 2), _Tagged(2, 1)}
+        assert to_jsonable(value) == [{"data": 1, "tag": 2}, {"data": 2, "tag": 1}]
+        assert to_jsonable(value) == _reference_to_jsonable(value)
+
+    def test_subclasses_take_the_general_path(self):
+        value = {_Edge(2, 1), _Tagged((1,), frozenset({"k"}))}
+        assert to_jsonable(value) == _reference_to_jsonable(value)
 
 
 class TestToJsonable:
