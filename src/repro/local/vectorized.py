@@ -300,11 +300,11 @@ class ProposalMatchingKernel(VectorizedAlgorithm):
 
     def __init__(self, vnet, network, data, rng_for=None):
         super().__init__(vnet, network, data, rng_for=rng_for)
-        color_of = dict(network.graph.nodes(data="color"))
-        self.white = np.fromiter(
-            (color_of[node] == "white" for node in vnet.nodes),
+        # vnet.nodes is the graph's iteration order, so the colors are read
+        # in one pass over the node data, with no per-node lookup.
+        self.white = np.array(
+            [color == "white" for _node, color in network.graph.nodes(data="color")],
             dtype=bool,
-            count=vnet.n,
         )
         input_edges = data.get("input_edges")
         half_edges = int(vnet.dest.shape[0])

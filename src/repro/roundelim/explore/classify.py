@@ -65,7 +65,7 @@ def uniform_zero_round(problem: Problem) -> bool:
     return False
 
 
-def _smallest_biregular_support(white_arity: int, black_arity: int) -> nx.Graph:
+def smallest_biregular_support(white_arity: int, black_arity: int) -> nx.Graph:
     """K_{d_B, d_W} with colors: white degree d_W, black degree d_B."""
     graph = nx.Graph()
     whites = [f"w{index}" for index in range(black_arity)]
@@ -106,7 +106,7 @@ def exhaustive_zero_round(
         return None
     if len(problem.alphabet) > EXHAUSTIVE_ALPHABET_CAP:
         return None
-    support = _smallest_biregular_support(problem.white_arity, problem.black_arity)
+    support = smallest_biregular_support(problem.white_arity, problem.black_arity)
     try:
         return exists_zero_round_algorithm(
             support, problem, edge_limit=EXHAUSTIVE_EDGE_CAP
@@ -123,7 +123,7 @@ def _exhaustive_zero_round_sat(problem: Problem) -> bool | None:
         return None
     if len(problem.alphabet) > SAT_ALPHABET_CAP:
         return None
-    support = _smallest_biregular_support(problem.white_arity, problem.black_arity)
+    support = smallest_biregular_support(problem.white_arity, problem.black_arity)
     try:
         return zero_round_solvable(problem=problem, graph=support, backend="sat")
     except SolverError:

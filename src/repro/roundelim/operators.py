@@ -27,7 +27,7 @@ Two interchangeable engines compute the operators:
 * ``"kernel"`` (default) — the bitmask-compiled search of
   :mod:`repro.roundelim.kernel` over the integer domain of
   :mod:`repro.formalism.encoding`; same outputs, same budget semantics,
-  several times faster (``benchmarks/bench_roundelim_kernel.py``).
+  several times faster (``benchmarks/harness.py roundelim``).
 * ``"reference"`` — the direct string/frozenset implementation below,
   kept as the executable specification the kernel is tested against.
 """

@@ -18,6 +18,7 @@ from repro.formalism.problems import Problem
 from repro.problems import (
     maximal_matching_problem,
     pi_matching,
+    pi_ruling,
     sinkless_orientation_problem,
 )
 from repro.roundelim.operators import (
@@ -86,7 +87,7 @@ class TestRandomizedEquivalenceMatrix:
 
 class TestGoldenPaperProblems:
     """The paper's Δ=3,4 matching problems, byte-identical across engines
-    and pinned to their known output shapes."""
+    and pinned to their known output shapes, plus the other families."""
 
     @pytest.mark.parametrize(
         "delta, expected_shape",
@@ -118,6 +119,13 @@ class TestGoldenPaperProblems:
         assert round_elimination(so, engine="kernel") == round_elimination(
             so, engine="reference"
         )
+
+    def test_ruling_set_family_identical(self):
+        problem = pi_ruling(3, 1, 1)
+        reference = round_elimination(problem, engine="reference")
+        kernel = round_elimination(problem, engine="kernel")
+        assert reference == kernel
+        assert str(reference) == str(kernel)
 
 
 class TestBudgetParity:
