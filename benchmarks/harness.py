@@ -38,7 +38,10 @@ the benchmark is then void.  The payload, schema ``repro.bench/v2``::
                "ratio": 5.2}]}
 
 plus the bench's extra blocks.  ``ratio`` is null on a row that times
-one side only (the engines scaling points).  Ratios, not seconds, are
+one side only (the engines scaling points).  The ``engines``,
+``roundelim`` and ``solvers`` rows time their two sides in interleaved
+pairs (:func:`paired`): ``ratio`` is the median of the per-pair ratios
+and ``seconds`` holds each side's best time.  Ratios, not seconds, are
 gated, so the gates are machine-portable: a row fails the baseline gate
 when its ratio drops more than the bench's tolerance below the baseline
 row with the same key, and rows whose slower side runs under
@@ -57,6 +60,7 @@ import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -93,8 +97,8 @@ from repro.utils.tables import print_table  # noqa: E402
 
 SCHEMA = "repro.bench/v2"
 
-#: Best-of repeats per timed side.
-REPEATS = 3
+#: Timed rounds per row; a round calls each side once, reference first.
+PAIRS = 5
 
 #: A single run above this duration is measured once — repeating a
 #: multi-second workload adds runtime, not precision.
@@ -106,17 +110,35 @@ HEAVY_CUTOFF_SECONDS = 2.0
 MIN_GATE_SECONDS = 0.05
 
 
-def best_of(run: Callable[[], object]) -> tuple[float, object]:
-    """The best wall time of ``REPEATS`` calls of ``run`` and the last
-    result."""
-    best, result = float("inf"), None
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        result = run()
-        best = min(best, time.perf_counter() - start)
-        if best > HEAVY_CUTOFF_SECONDS:
+def paired(
+    runs: dict[str, Callable[[], object]], clock: Callable[[], float] = time.perf_counter
+) -> tuple[dict, float | None, dict]:
+    """Time the sides of ``runs`` (the reference, then the fast side if
+    any) in up to ``PAIRS`` interleaved rounds.
+
+    Returns each side's best time, the median of the per-round ratios
+    (reference / fast; ``None`` for one side) and each side's last
+    result.  Both halves of a pair run under the same machine load, and
+    the median drops a pair that a load spike hit on one side only;
+    best-of per side can take its two minima from different load regimes.
+    A round whose slower side runs over ``HEAVY_CUTOFF_SECONDS`` is the
+    last one.
+    """
+    best = dict.fromkeys(runs, float("inf"))
+    results: dict = {}
+    ratios = []
+    for _ in range(PAIRS):
+        elapsed = []
+        for side, run in runs.items():
+            start = clock()
+            results[side] = run()
+            elapsed.append(clock() - start)
+            best[side] = min(best[side], elapsed[-1])
+        if len(elapsed) == 2:
+            ratios.append(elapsed[0] / elapsed[1])
+        if max(elapsed) > HEAVY_CUTOFF_SECONDS:
             break
-    return best, result
+    return best, statistics.median(ratios) if ratios else None, results
 
 
 def void_unless(agree: bool, what: str) -> None:
@@ -147,21 +169,21 @@ def engines_matrix(smoke: bool) -> dict:
     return {f"n={n}": (n, engines) for n, engines in sizes}
 
 
-def engines_measure(matrix: dict) -> tuple[dict, dict]:
+def engines_measure(matrix: dict) -> tuple[dict, dict, dict]:
     spec = api.ProblemSpec.parse(ENGINES_SPEC)
     algorithm = api.resolve_algorithm("matching:proposal")
-    seconds = {}
+    seconds, ratios = {}, {}
     for key, (n, names) in matrix.items():
         # One network and program per size, so only engine time is timed.
         network = algorithm.default_network(spec, n=n, seed=0)
         program = algorithm.program(network, spec, {})
-        results, seconds[key] = {}, {}
-        for name in names:
-            engine = resolve_engine(name)
-            engine.run(network, program, seed=0)  # warm: compile the arrays
-            seconds[key][name], results[name] = best_of(
-                lambda: engine.run(network, program, seed=0)
-            )
+        runs = {
+            name: partial(resolve_engine(name).run, network, program, seed=0)
+            for name in names
+        }
+        for run in runs.values():
+            run()  # warm
+        seconds[key], ratios[key], results = paired(runs)
         first = results[names[0]]
         void_unless(
             all(
@@ -170,7 +192,7 @@ def engines_measure(matrix: dict) -> tuple[dict, dict]:
             ),
             f"engine outputs differ at n={n}",
         )
-    return seconds, {}
+    return seconds, ratios, {}
 
 
 # --------------------------------------------------------------------------
@@ -189,19 +211,18 @@ ROUNDELIM_FULL = ROUNDELIM_SMOKE + (
 )
 
 
-def roundelim_measure(matrix: dict) -> tuple[dict, dict]:
-    seconds = {}
+def roundelim_measure(matrix: dict) -> tuple[dict, dict, dict]:
+    seconds, ratios = {}, {}
     for key, problem in matrix.items():
-        outputs, seconds[key] = {}, {}
-        for engine in ("reference", "kernel"):
-            seconds[key][engine], outputs[engine] = best_of(
-                lambda: round_elimination(problem, engine=engine)
-            )
+        seconds[key], ratios[key], outputs = paired({
+            engine: partial(round_elimination, problem, engine=engine)
+            for engine in ("reference", "kernel")
+        })
         void_unless(
             outputs["reference"] == outputs["kernel"],
             f"engine outputs differ on {key}",
         )
-    return seconds, {}
+    return seconds, ratios, {}
 
 
 # --------------------------------------------------------------------------
@@ -225,19 +246,18 @@ def gate_support(problem):
     return smallest_biregular_support(problem.white_arity, problem.black_arity)
 
 
-def solvers_measure(matrix: dict) -> tuple[dict, dict]:
-    seconds = {}
+def solvers_measure(matrix: dict) -> tuple[dict, dict, dict]:
+    seconds, ratios = {}, {}
     for key, problem in matrix.items():
         support = gate_support(problem)
-        verdicts, seconds[key] = {}, {}
-        for backend in ("csp", "sat"):
-            seconds[key][backend], verdicts[backend] = best_of(
-                lambda: zero_round_solvable(support, problem, backend=backend)
-            )
+        seconds[key], ratios[key], verdicts = paired({
+            backend: partial(zero_round_solvable, support, problem, backend=backend)
+            for backend in ("csp", "sat")
+        })
         void_unless(
             verdicts["csp"] == verdicts["sat"], f"backend verdicts differ on {key}"
         )
-    return seconds, {
+    return seconds, ratios, {
         "frontier": solvers_frontier(),
         "symmetry_breaking": solvers_symmetry_breaking(),
     }
@@ -363,7 +383,7 @@ def explore_matrix(smoke: bool) -> dict:
     return {key: matrix[key] for key in matrix if not smoke or key in EXPLORE_SMOKE}
 
 
-def explore_measure(matrix: dict) -> tuple[dict, dict]:
+def explore_measure(matrix: dict) -> tuple[dict, dict, dict]:
     seconds = {}
     for key, (roots, limits) in matrix.items():
         store = ProblemStore()
@@ -383,7 +403,7 @@ def explore_measure(matrix: dict) -> tuple[dict, dict]:
             serial.canonical_json() == cold.canonical_json(),
             f"jobs={EXPLORE_JOBS} report differs from serial on {key}",
         )
-    return seconds, {}
+    return seconds, {}, {}
 
 
 # --------------------------------------------------------------------------
@@ -417,7 +437,7 @@ def _quantiles(latencies: list[float]) -> dict:
     }
 
 
-def service_measure(matrix: dict) -> tuple[dict, dict]:
+def service_measure(matrix: dict) -> tuple[dict, dict, dict]:
     """Cold phase, then a threaded mixed phase.
 
     Cold: each distinct request once, timed one by one (every one a real
@@ -490,7 +510,7 @@ def service_measure(matrix: dict) -> tuple[dict, dict]:
             "cold": statistics.median(cold),
             "warm": statistics.median(warm_flat),
         }
-    }, {
+    }, {}, {
         "service": {
             "unique_requests": len(population),
             "mixed_requests": len(warm_flat),
@@ -536,8 +556,10 @@ class Bench:
     min_ratio: float
     #: smoke → {row key: workload}.
     matrix: Callable[[bool], dict]
-    #: matrix → ({row key: {side: seconds}}, extra payload blocks).
-    measure: Callable[[dict], tuple[dict, dict]]
+    #: matrix → ({row key: {side: seconds}}, {row key: ratio} for the rows
+    #: timed by ``paired``, extra payload blocks).  A row without a paired
+    #: ratio gets reference seconds / fast seconds, or none on one side.
+    measure: Callable[[dict], tuple[dict, dict, dict]]
     #: Allowed fractional ratio drop below a baseline row; ``None`` for a
     #: bench without a committed baseline.
     tolerance: float | None = None
@@ -595,30 +617,32 @@ BENCHES = {
 }
 
 
-def make_row(bench: str, key: str, seconds: dict, sides: tuple[str, str]) -> dict:
+def make_row(
+    bench: str, key: str, seconds: dict, sides: tuple[str, str], ratio: float | None = None
+) -> dict:
     reference, fast = sides
-    ratio = None
-    if reference in seconds and fast in seconds:
-        ratio = round(seconds[reference] / seconds[fast], 3)
+    if ratio is None and reference in seconds and fast in seconds:
+        ratio = seconds[reference] / seconds[fast]
     return {
         "bench": bench,
         "key": key,
         "seconds": {side: round(value, 6) for side, value in seconds.items()},
-        "ratio": ratio,
+        "ratio": None if ratio is None else round(ratio, 3),
     }
 
 
 def run(name: str, smoke: bool) -> dict:
     """Measure bench ``name``; returns its ``repro.bench/v2`` payload."""
     bench = BENCHES[name]
-    seconds, blocks = bench.measure(bench.matrix(smoke))
+    seconds, ratios, blocks = bench.measure(bench.matrix(smoke))
     return {
         "schema": SCHEMA,
         "bench": name,
         "mode": "smoke" if smoke else "full",
         "criterion": {"key": bench.criterion, "min_ratio": bench.min_ratio},
         "rows": [
-            make_row(name, key, row, bench.sides) for key, row in seconds.items()
+            make_row(name, key, row, bench.sides, ratios.get(key))
+            for key, row in seconds.items()
         ],
         **blocks,
     }

@@ -132,11 +132,11 @@ def proposal_extra(
         if input_edges is None:
             input_ports = list(range(1, len(network.neighbors(node)) + 1))
         else:
-            input_ports = sorted(
-                network.port_to(node, neighbor)
-                for neighbor in support.neighbors(node)
+            input_ports = [
+                port
+                for port, neighbor in enumerate(network.neighbors(node), 1)
                 if frozenset((node, neighbor)) in input_edges
-            )
+            ]
         return {
             "color": support.nodes[node]["color"],
             "input_ports": input_ports,
@@ -199,13 +199,10 @@ class ProposalMatching(Algorithm):
         if any("color" not in attrs for _node, attrs in support.nodes(data=True)):
             mark_bipartition(support)
         if options.get("input_edges") is None:
-            # G′ = G: no edge set is built and every port is an input
-            # port.  Δ′ is the longest adjacency row: a self-loop counts
-            # once, as in input_delta_prime, not twice as in graph.degree.
+            # G′ = G: no edge set is built, every port is an input port
+            # and Δ′ is the most ports at a node (a self-loop is one port).
             input_edges = None
-            delta_prime = max(
-                (len(row) for _node, row in support.adjacency()), default=0
-            )
+            delta_prime = network.max_degree
         else:
             input_edges = input_subgraph(support, options["input_edges"])
             delta_prime = input_delta_prime(input_edges)

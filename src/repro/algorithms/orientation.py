@@ -99,11 +99,10 @@ class GlobalSinklessOrientation(Algorithm):
     ) -> MessagePassingProgram:
         orientation = global_sinkless_orientation(network.graph)
         out_ports: dict = {node: [] for node in network.graph.nodes}
-        for edge, head in orientation.items():
-            (tail,) = (node for node in edge if node != head)
-            out_ports[tail].append(network.port_to(tail, head))
-        for ports in out_ports.values():
-            ports.sort()
+        for node, ports in out_ports.items():  # the ports towards each edge's head
+            for port, neighbor in enumerate(network.neighbors(node), 1):
+                if orientation[frozenset((node, neighbor))] == neighbor:
+                    ports.append(port)
 
         def extra(node) -> dict:
             return {"out_ports": out_ports[node]}

@@ -1,7 +1,8 @@
 """Synchronous message-passing engine (the LOCAL model's round structure).
 
 Each node runs an instance of a :class:`NodeAlgorithm`; a round consists
-of (1) every node emitting messages per port, (2) delivery, (3) every node
+of (1) every node emitting messages per port, (2) delivery along the
+network's CSR arrays, as in the vectorized engine, (3) every node
 processing its inbox.  Messages and local computation are unbounded, as in
 the model; the engine counts rounds until every node has halted with an
 output, which is how upper-bound experiments measure round complexity.
@@ -104,71 +105,76 @@ def run_synchronous(
     the round trace), and a node whose :meth:`send` returns messages after
     calling :meth:`halt` is rejected as a protocol violation.
     """
-    algorithms: dict[object, NodeAlgorithm] = {}
-    for node in network.graph.nodes:
+    csr = network.csr
+    nodes, degrees = csr.nodes, csr.degrees.tolist()
+    algorithms: list[NodeAlgorithm] = []
+    for node, degree in zip(nodes, degrees):
         context = NodeContext(
             node=node,
             node_id=network.ids[node],
-            degree=network.graph.degree(node),
+            degree=degree,
             n=network.n,
             max_degree=network.max_degree,
-            ports=tuple(range(1, network.graph.degree(node) + 1)),
+            ports=tuple(range(1, degree + 1)),
             random_bits=rng_for(node) if rng_for else None,
             extra=extra(node) if extra else {},
         )
-        algorithms[node] = factory(context)
+        algorithms.append(factory(context))
+    # Port p of node i is half-edge k = indptr[i] + p - 1: it reaches node
+    # dest[k] on the port of half-edge reverse[k].
+    indptr, dest = csr.indptr.tolist(), csr.dest.tolist()
+    arrival_port = (csr.reverse - csr.indptr[csr.dest] + 1).tolist()
 
-    for algorithm in algorithms.values():
+    for algorithm in algorithms:
         algorithm.init()
 
     rounds = 0
-    while any(not algorithm.halted for algorithm in algorithms.values()):
+    while any(not algorithm.halted for algorithm in algorithms):
         rounds += 1
         if rounds > max_rounds:
             raise SimulationError(
                 f"algorithm did not halt within {max_rounds} rounds"
             )
-        outbox: dict[object, dict[int, object]] = {}
+        outbox: list[tuple[int, dict]] = []
         live_nodes = 0
-        for node, algorithm in algorithms.items():
+        for i, algorithm in enumerate(algorithms):
             if algorithm.halted:
                 continue
             live_nodes += 1
-            messages = algorithm.send() or {}
+            messages = algorithm.send()
+            if not messages:
+                continue
             # Port keys may be heterogeneous (e.g. {"a": m, 99: m}), so
             # error paths sort by str: the violation must surface as a
             # SimulationError, never a TypeError from sorted().
-            if algorithm.halted and messages:
+            if algorithm.halted:
                 raise SimulationError(
-                    f"node {node!r} halted during send() but still emitted "
+                    f"node {nodes[i]!r} halted during send() but still emitted "
                     f"messages on ports {sorted(messages, key=str)}"
                 )
-            stray = set(messages) - set(range(1, network.graph.degree(node) + 1))
+            stray = set(messages).difference(range(1, degrees[i] + 1))
             if stray:
                 raise SimulationError(
-                    f"node {node!r} sent on invalid ports {sorted(stray, key=str)}"
+                    f"node {nodes[i]!r} sent on invalid ports {sorted(stray, key=str)}"
                 )
-            outbox[node] = messages
+            outbox.append((i, messages))
         # Inboxes exist only for live nodes: a halted node (including one
         # that halted during init()) never receives, so messages addressed
         # to it are dropped here rather than silently retained.
-        inbox: dict[object, dict[int, object]] = {
-            node: {}
-            for node, algorithm in algorithms.items()
-            if not algorithm.halted
-        }
+        inbox = [None if algorithm.halted else {} for algorithm in algorithms]
         delivered = dropped = 0
-        for node, messages in outbox.items():
+        for i, messages in outbox:
             for port, payload in messages.items():
-                neighbor = network.via_port(node, port)
-                if neighbor not in inbox:
+                k = indptr[i] + int(port) - 1  # a key == an int port (1.0, True) is it
+                received = inbox[dest[k]]
+                if received is None:
                     dropped += 1
                     continue
-                back_port = network.port_to(neighbor, node)
-                inbox[neighbor][back_port] = payload
+                received[arrival_port[k]] = payload
                 delivered += 1
-        for node, messages in inbox.items():
-            algorithms[node].receive(messages)
+        for algorithm, received in zip(algorithms, inbox):
+            if received is not None:
+                algorithm.receive(received)
         if on_round is not None:
             on_round(
                 RoundTrace(
@@ -180,7 +186,7 @@ def run_synchronous(
             )
 
     return RunResult(
-        outputs={node: algorithm.output for node, algorithm in algorithms.items()},
+        outputs={node: algorithm.output for node, algorithm in zip(nodes, algorithms)},
         rounds=rounds,
     )
 

@@ -5,11 +5,12 @@ one Python callback per node per round, which caps honest experiments
 near n ≈ 10^4.  This engine removes per-node Python from the hot loop
 entirely:
 
-* the network is compiled once, straight from its port numbering, into
-  numpy CSR arrays (:class:`VectorNetwork`) with two delivery maps
-  precomputed — ``owner[k]`` (which node emits half-edge ``k``) and
-  ``reverse[k]`` (the receiver-side half-edge, i.e. inbox slot, that a
-  message along ``k`` lands in);
+* the network's port numbering is numpy CSR arrays
+  (:class:`~repro.local.network.VectorNetwork`, built once with the
+  :class:`Network`) with two delivery maps — ``owner[k]`` (which node
+  emits half-edge ``k``) and ``reverse[k]`` (the receiver-side
+  half-edge, i.e. inbox slot, that a message along ``k`` lands in); the
+  object engine delivers through the same ``reverse`` map;
 * node state lives in struct-of-arrays form — int state vectors, float
   payload vectors, boolean halted/live masks — owned by a
   :class:`VectorizedAlgorithm` *kernel*;
@@ -45,12 +46,10 @@ Kernel contract (what keeps parity cheap to reason about):
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from repro.local.network import Network
+from repro.local.network import Network, VectorNetwork
 from repro.local.simulator import (
     NodeContext,
     RoundTrace,
@@ -58,72 +57,6 @@ from repro.local.simulator import (
     run_synchronous,
 )
 from repro.utils import SimulationError
-
-
-@dataclass(frozen=True)
-class VectorNetwork:
-    """A :class:`Network` compiled into numpy CSR arrays + delivery maps.
-
-    ``nodes`` is the dense node order (the graph's iteration order);
-    half-edge ``k = indptr[i] + port - 1`` belongs to (node ``i``,
-    ``port``) and ``dest[k]`` is the dense index of the neighbor behind
-    that port.  Two derived arrays make whole-array delivery possible:
-    ``owner[k]`` is the dense index of the node emitting ``k`` (the CSR
-    row expanded), and ``reverse[k]`` is the half-edge under which the
-    message arrives at the receiver (the one from ``dest[k]`` back to
-    ``owner[k]``) — scattering payloads from ``k`` to ``reverse[k]`` *is*
-    delivery.
-    """
-
-    nodes: tuple
-    indptr: np.ndarray
-    dest: np.ndarray
-    owner: np.ndarray
-    reverse: np.ndarray
-    degrees: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
-
-    @classmethod
-    def from_network(cls, network: Network) -> "VectorNetwork":
-        nodes = tuple(network.graph.nodes)
-        n = len(nodes)
-        index = {node: i for i, node in enumerate(nodes)}
-        rows = [network.neighbors(node) for node in nodes]
-        degrees = np.fromiter(map(len, rows), dtype=np.int64, count=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        dest = np.fromiter(
-            map(index.__getitem__, chain.from_iterable(rows)),
-            dtype=np.int64,
-            count=int(indptr[-1]),
-        )
-        owner = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        # Half-edge k is the key owner*n + dest; its reverse is the one
-        # half-edge keyed dest*n + owner (the graph is simple, so keys are
-        # unique).  One sort locates every reverse key at once.
-        keys = owner * n + dest
-        order = np.argsort(keys)
-        reverse = order[np.searchsorted(keys, dest * n + owner, sorter=order)]
-        return cls(
-            nodes=nodes,
-            indptr=indptr,
-            dest=dest,
-            owner=owner,
-            reverse=reverse,
-            degrees=degrees,
-        )
-
-    @classmethod
-    def of(cls, network: Network) -> "VectorNetwork":
-        """The (memoized) array compilation of ``network``."""
-        cached = network.__dict__.get("_vector_network")
-        if cached is None:
-            cached = cls.from_network(network)
-            network.__dict__["_vector_network"] = cached
-        return cached
 
 
 class VectorizedAlgorithm:

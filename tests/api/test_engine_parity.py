@@ -79,6 +79,29 @@ def test_identical_reports_on_irregular_random_graphs(seed, algorithm):
         assert report.outputs == reference.outputs
 
 
+@pytest.mark.parametrize(
+    "spec,algorithm",
+    [
+        ("coloring:Δ=3,c=4", "coloring:class-sweep"),
+        ("mis:Δ=3", "mis:luby"),
+        ("mis:Δ=3", "mis:aapr23"),
+        ("ruling-set:Δ=3,c=1,β=2", "ruling-set:class-sweep"),
+    ],
+)
+def test_identical_reports_with_a_self_loop(spec, algorithm):
+    """A self-loop is one port on both engines: node 0 of a 6-cycle plus
+    the edge (0, 0) has three ports, not ``graph.degree`` = 4."""
+    graph = nx.cycle_graph(6)
+    graph.add_edge(0, 0)
+    reports = {
+        engine: api.solve(
+            spec, algorithm=algorithm, engine=engine, graph=graph, seed=1
+        ).canonical_json()
+        for engine in api.available_engines()
+    }
+    assert reports["object"] == reports["vectorized"]
+
+
 def _sender(messages_factory):
     """A probe algorithm: every node emits ``messages_factory()`` once and
     halts with whatever its inbox was (so delivery itself is compared)."""

@@ -57,6 +57,91 @@ class TestRows:
         assert row["ratio"] is None
 
 
+def scripted_clock(durations):
+    """A fake clock whose successive start/stop readings span
+    ``durations`` in order, one per timed call."""
+    readings, now = [], 0.0
+    for duration in durations:
+        readings += [now, now + duration]
+        now += duration + 1.0
+    return iter(readings).__next__
+
+
+def recording(calls, side):
+    def run():
+        calls.append(side)
+        return f"{side}-{len(calls)}"
+    return run
+
+
+class TestPaired:
+    def test_sides_alternate_and_ratio_is_the_median_of_pair_ratios(self, monkeypatch):
+        monkeypatch.setattr(harness, "PAIRS", 3)
+        calls = []
+        # Per-pair (reference, fast): ratios 2, 10 and 4; median 4.
+        clock = scripted_clock([2.0, 1.0, 1.0, 0.1, 2.0, 0.5])
+        seconds, ratio, results = harness.paired(
+            {"reference": recording(calls, "reference"), "fast": recording(calls, "fast")},
+            clock=clock,
+        )
+        assert calls == ["reference", "fast"] * 3
+        assert ratio == pytest.approx(4.0)
+        assert seconds == pytest.approx({"reference": 1.0, "fast": 0.1})
+        assert results == {"reference": "reference-5", "fast": "fast-6"}
+
+    def test_a_spike_on_one_side_moves_the_median_less_than_best_of(self, monkeypatch):
+        monkeypatch.setattr(harness, "PAIRS", 5)
+        # The reference side is slowed 3x in one pair, and the fast side
+        # runs its best time during that same pair: best-of per side
+        # would report 2.0 / 0.2 = 10, the pairs say 5.
+        durations = [2.0, 0.4] * 2 + [6.0, 0.2] + [2.0, 0.4] * 2
+        seconds, ratio, _ = harness.paired(
+            {"reference": lambda: None, "fast": lambda: None},
+            clock=scripted_clock(durations),
+        )
+        assert seconds["reference"] / seconds["fast"] == pytest.approx(10.0)
+        assert ratio == pytest.approx(5.0)
+
+    def test_a_heavy_pair_is_the_last(self, monkeypatch):
+        monkeypatch.setattr(harness, "PAIRS", 5)
+        calls = []
+        heavy = harness.HEAVY_CUTOFF_SECONDS * 2
+        seconds, ratio, _ = harness.paired(
+            {"reference": recording(calls, "reference"), "fast": recording(calls, "fast")},
+            clock=scripted_clock([heavy, 1.0]),
+        )
+        assert calls == ["reference", "fast"]
+        assert ratio == pytest.approx(heavy)
+        assert seconds == pytest.approx({"reference": heavy, "fast": 1.0})
+
+    def test_one_side_has_no_ratio(self, monkeypatch):
+        monkeypatch.setattr(harness, "PAIRS", 2)
+        seconds, ratio, results = harness.paired(
+            {"fast": lambda: "out"}, clock=scripted_clock([0.5, 0.25])
+        )
+        assert ratio is None
+        assert seconds == pytest.approx({"fast": 0.25})
+        assert results == {"fast": "out"}
+
+    def test_run_gates_the_paired_ratio(self, monkeypatch):
+        bench = harness.BENCHES["roundelim"]
+        monkeypatch.setitem(harness.BENCHES, "roundelim", harness.Bench(
+            title=bench.title,
+            sides=bench.sides,
+            criterion="a",
+            min_ratio=4.0,
+            matrix=lambda smoke: {"a": None, "b": None},
+            measure=lambda matrix: (
+                {key: {"reference": 1.0, "kernel": 0.5} for key in matrix},
+                {"a": 4.5},
+                {},
+            ),
+        ))
+        rows = {row["key"]: row for row in harness.run("roundelim", smoke=True)["rows"]}
+        assert rows["a"]["ratio"] == 4.5  # the paired ratio, not 1.0 / 0.5
+        assert rows["b"]["ratio"] == 2.0  # no paired ratio: seconds ratio
+
+
 class TestCriterion:
     def test_ratio_at_minimum_passes(self):
         assert harness.criterion_failures(payload(("a", {"reference": 4.0, "kernel": 1.0}))) == []

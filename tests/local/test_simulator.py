@@ -56,6 +56,24 @@ class TestNetwork:
         with pytest.raises(SimulationError):
             Network(graph=cycle(3), ids={0: 1, 1: 1, 2: 2})
 
+    @pytest.mark.parametrize(
+        "ids",
+        [{0: 1, 1: 2, 5: 3}, {0: 1, 1: 2}, {0: 1, 1: 2, 2: 3, 3: 4}],
+        ids=["foreign-key", "missing-key", "extra-key"],
+    )
+    def test_ids_must_name_exactly_the_graph_nodes(self, ids):
+        with pytest.raises(SimulationError, match="exactly the graph's nodes"):
+            Network(graph=nx.path_graph(3), ids=ids)
+
+    def test_self_loop_is_one_port(self):
+        graph = cycle(4)
+        graph.add_edge(0, 0)
+        network = Network(graph=graph)
+        assert network.neighbors(0) == [0, 1, 3]
+        assert network.max_degree == 3
+        result = run_synchronous(network, _EchoIds)
+        assert result.outputs[0] == [1, 2, 4]
+
 
 class _EchoIds(NodeAlgorithm):
     """One round: send own ID, collect neighbor IDs, halt."""

@@ -78,12 +78,12 @@ _LABELS = st.one_of(
 
 @st.composite
 def _networks(draw):
-    """Irregular simple graphs (isolated nodes and the empty graph
+    """Irregular graphs (isolated nodes, self-loops and the empty graph
     included), optionally with random IDs."""
     nodes = draw(st.lists(_LABELS, max_size=12, unique=True))
     graph = nx.Graph()
     graph.add_nodes_from(nodes)
-    pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
+    pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i:]]
     if pairs:
         graph.add_edges_from(draw(st.lists(st.sampled_from(pairs), max_size=30)))
     network = Network(graph=graph)
@@ -91,61 +91,67 @@ def _networks(draw):
     return network if seed is None else network.with_random_ids(seed)
 
 
-def _reference_arrays(network):
-    """The CSR arrays spelled out one half-edge at a time from the port
-    maps (``via_port`` / ``port_to``)."""
-    nodes = tuple(network.graph.nodes)
+def _reference_arrays(graph, ids):
+    """The CSR arrays spelled out one half-edge at a time from the graph
+    and the IDs alone: port p of a node is its p-th neighbour by ID (a
+    self-loop is one port), and the reverse of half-edge (u, v) is the
+    port of u at v."""
+    nodes = tuple(graph.nodes)
     index = {node: i for i, node in enumerate(nodes)}
-    indptr, dest, owner, back = [0], [], [], []
-    for i, node in enumerate(nodes):
-        for port in range(1, network.graph.degree(node) + 1):
-            neighbor = network.via_port(node, port)
+    rows = [sorted(graph.neighbors(node), key=ids.__getitem__) for node in nodes]
+    indptr, dest, owner, reverse = [0], [], [], []
+    for i, row in enumerate(rows):
+        for neighbor in row:
             dest.append(index[neighbor])
             owner.append(i)
-            back.append(network.port_to(neighbor, node))
         indptr.append(len(dest))
-    reverse = [indptr[j] + port - 1 for j, port in zip(dest, back)]
+    for i, row in enumerate(rows):
+        for neighbor in row:
+            j = index[neighbor]
+            reverse.append(indptr[j] + rows[j].index(nodes[i]))
     return nodes, {
         "indptr": indptr,
         "dest": dest,
         "owner": owner,
         "reverse": reverse,
-        "degrees": [b - a for a, b in zip(indptr, indptr[1:])],
+        "degrees": [len(row) for row in rows],
     }
 
 
 class TestVectorNetwork:
     @settings(max_examples=150, deadline=None)
     @given(_networks())
-    def test_csr_arrays_match_port_maps(self, network):
-        vnet = VectorNetwork.from_network(network)
-        nodes, expected = _reference_arrays(network)
+    def test_csr_arrays_match_reference(self, network):
+        vnet = VectorNetwork.of(network)
+        nodes, expected = _reference_arrays(network.graph, network.ids)
         assert vnet.nodes == nodes
         for name, values in expected.items():
             array = getattr(vnet, name)
             assert array.dtype == np.int64, name
             assert array.tolist() == values, name
 
-    def test_arrays_match_port_maps(self):
+    @pytest.mark.parametrize("self_loop", [False, True])
+    def test_port_methods_match_reference(self, self_loop):
         graph, _d, _g = cage("petersen")
-        network = Network(graph=graph)
-        vnet = VectorNetwork.of(network)
-        index = {node: i for i, node in enumerate(vnet.nodes)}
-        for i, node in enumerate(vnet.nodes):
-            degree = network.graph.degree(node)
-            assert vnet.degrees[i] == degree
-            for port in range(1, degree + 1):
-                k = vnet.indptr[i] + port - 1
-                neighbor = network.via_port(node, port)
-                assert vnet.owner[k] == i
-                assert vnet.dest[k] == index[neighbor]
-                # reverse[k] is the receiver-side slot: the half-edge of
-                # (neighbor, back port) — scattering to it IS delivery.
-                back = network.port_to(neighbor, node)
-                assert vnet.reverse[k] == vnet.indptr[index[neighbor]] + back - 1
+        if self_loop:
+            graph.add_edge(0, 0)
+        network = Network(graph=graph).with_random_ids(5)
+        nodes, expected = _reference_arrays(graph, network.ids)
+        indptr = expected["indptr"]
+        for i, node in enumerate(nodes):
+            row = [nodes[j] for j in expected["dest"][indptr[i] : indptr[i + 1]]]
+            assert network.neighbors(node) == row
+            for port, neighbor in enumerate(row, 1):
+                assert network.via_port(node, port) == neighbor
+                assert network.port_to(node, neighbor) == port
+            for port in (0, len(row) + 1):
+                with pytest.raises(KeyError):
+                    network.via_port(node, port)
+        assert network.max_degree == max(expected["degrees"])
 
-    def test_of_is_memoized_per_network(self):
+    def test_of_is_the_networks_own_csr(self):
         network = Network(graph=cycle(5))
+        assert VectorNetwork.of(network) is network.csr
         assert VectorNetwork.of(network) is VectorNetwork.of(network)
 
     def test_n_property(self):
